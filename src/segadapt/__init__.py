@@ -6,7 +6,7 @@ cross-domain image mixing, a synthetic two-domain segmentation pipeline,
 and a binary gradient-landscape analyzer.
 """
 
-from segadapt.autodiff import Tensor, ShapeMismatchError, tensor, concat, bias_add, take_cols
+from segadapt.autodiff import Tensor, ShapeMismatchError, tensor, concat, linear, take_cols
 from segadapt.config import TrainConfig, make_config, parse_config_file
 from segadapt.data import SceneSpec, generate_domain, perturb, pixel_features, scene_spec
 from segadapt.gradcurves import curve, emit_csv, find_global_min

@@ -9,8 +9,12 @@ classifier, while keeping the backward pass easy to audit.
 Graphs are built implicitly: each operation records its parents and one
 vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
 graph once in reverse topological order, so shared subexpressions accumulate
-gradient contributions correctly.  A backward pass owns its graph; independent
-graphs may be evaluated concurrently, a single graph is single-threaded.
+gradient contributions correctly.  Gradients are stored on leaves only (the
+tensors created with ``requires_grad=True``, which have no parents); the
+flows through intermediate nodes live only for the duration of the pass, and
+an intermediate node's ``grad`` stays ``None``.  A backward pass owns its
+graph; independent graphs may be evaluated concurrently, a single graph is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ __all__ = [
     "ShapeMismatchError",
     "tensor",
     "concat",
-    "bias_add",
+    "linear",
     "take_cols",
 ]
 
@@ -42,8 +46,9 @@ class Tensor:
 
     ``data`` is treated as immutable once the tensor participates in a graph;
     only ``grad`` is written by backward passes (and ``data`` by an optimizer,
-    between graph evaluations).  Gradients accumulate across repeated backward
-    calls until ``zero_grad`` resets them.
+    between graph evaluations).  Only leaves carry a gradient: a leaf's
+    ``grad`` accumulates across repeated backward calls until ``zero_grad``
+    resets it, while the result of an operation keeps ``grad = None``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
@@ -78,7 +83,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
-        if self.requires_grad:
+        if self.requires_grad and not self._parents:
             self.grad = np.zeros_like(self.data)
 
     def detach(self) -> "Tensor":
@@ -88,11 +93,12 @@ class Tensor:
     # -------------------------------------------------------------- backward
 
     def backward(self) -> None:
-        """Populate ``grad`` of every reachable requires_grad tensor.
+        """Add this scalar's gradient to ``grad`` of every reachable leaf.
 
         Only scalar roots are supported.  Each graph node is visited exactly
         once; flows through shared subexpressions are summed before being
-        pushed further down, so DAGs are handled correctly.
+        pushed further down, so DAGs are handled correctly.  Intermediate
+        nodes pass their flow on and keep ``grad = None``.
         """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -120,7 +126,9 @@ class Tensor:
             g = flows.pop(id(node), None)
             if g is None:
                 continue
-            node.grad = g if node.grad is None else node.grad + g
+            if not node._parents:
+                node.grad = g if node.grad is None else node.grad + g
+                continue
             for parent, vjp in zip(node._parents, node._vjps):
                 if not parent.requires_grad:
                     continue
@@ -185,8 +193,11 @@ class Tensor:
             out = a.data ** gamma
 
             def vjp(g):
+                # A zero upstream gradient passes through as is, so a zero
+                # flow stays zero where a**(gamma - 1) is infinite (a = 0
+                # with gamma < 1) instead of becoming 0 * inf = nan.
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    return g * gamma * a.data ** (gamma - 1.0)
+                    return np.where(g == 0.0, g, g * gamma * a.data ** (gamma - 1.0))
 
             return _make(out, (a,), (vjp,))
 
@@ -296,14 +307,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
 
 
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-N bias row vector to every row of an M-by-N tensor."""
-    x, b = _ensure_tensor(x), _ensure_tensor(b)
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer ``x @ w + b`` as one node: (M, K) @ (K, N) plus a length-N bias."""
+    x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
         raise ShapeMismatchError(
-            f"bias_add expects (M, N) and (N,), got {x.shape} and {b.shape}")
-    return _make(x.data + b.data[None, :], (x, b),
-                 (lambda g: g, lambda g: g.sum(axis=0)))
+            f"linear expects (M, K), (K, N) and (N,), got {x.shape}, {w.shape} and {b.shape}")
+    return _make(x.data @ w.data + b.data[None, :], (x, w, b),
+                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
 
 
 def take_cols(x: Tensor, index) -> Tensor:
@@ -352,10 +364,8 @@ def _fit(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
     out = Tensor(data)
-    tracked = tuple(p.requires_grad for p in parents)
-    if any(tracked):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = np.zeros_like(out.data)
         out._parents = parents
         out._vjps = vjps
     return out

@@ -51,7 +51,6 @@ class TrainConfig:
     threshold_b: float = 0.8
     threshold_d: float = 8.0
     threshold_t0: float = 0.8
-    stage2_reset_threshold: bool = True
     # target-image perturbation
     perturb_noise: float = 0.04
     perturb_brightness: float = 0.06
@@ -71,13 +70,6 @@ def _coerce(name: str, raw: str):
         raise KeyError(f"unknown config key: {name!r}")
     kind = _FIELDS[name].type
     raw = raw.strip()
-    if kind == "bool":
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean for {name}: {raw!r}")
     if kind == "int":
         return int(raw)
     if kind == "float":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from segadapt.autodiff import Tensor, bias_add
+from segadapt.autodiff import Tensor, linear
 from segadapt.data import NUM_FEATURES, pixel_features
 
 __all__ = ["PixelModel", "save_model", "load_model"]
@@ -32,8 +32,8 @@ class PixelModel:
 
     def logits(self, features) -> Tensor:
         x = features if isinstance(features, Tensor) else Tensor(features)
-        hidden = bias_add(x @ self.w1, self.b1).tanh()
-        return bias_add(hidden @ self.w2, self.b2)
+        hidden = linear(x, self.w1, self.b1).tanh()
+        return linear(hidden, self.w2, self.b2)
 
     def prob_map(self, features) -> Tensor:
         """Class-major probability map (C, N), differentiable."""

@@ -60,7 +60,7 @@ _STREAM_BATCH = 10
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss."""
+    """Raised when a training step produces a non-finite loss or gradient."""
 
 
 @dataclass
@@ -110,6 +110,12 @@ def _check_finite(parts: StageLosses, step: int, stage: str) -> float:
     return total
 
 
+def _check_grads(model: PixelModel, step: int, stage: str) -> None:
+    for name, p in zip(("w1", "b1", "w2", "b2"), model.params):
+        if not np.all(np.isfinite(p.grad)):
+            raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
+
+
 def pretrain_source(cfg: TrainConfig, source=None) -> PixelModel:
     """Supervised training on the source domain only."""
     if source is None:
@@ -124,6 +130,7 @@ def pretrain_source(cfg: TrainConfig, source=None) -> PixelModel:
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(f"non-finite pretraining loss at step {step}")
         loss.backward()
+        _check_grads(model, step, "pretraining")
         _sgd_step(model, cfg.learning_rate)
     return model
 
@@ -231,6 +238,7 @@ def _adaptation_loop(cfg, model, source, target, stage, steps, pseudo_model):
 
         total = _check_finite(parts, step, stage)
         parts.total.backward()
+        _check_grads(model, step, stage)
         _sgd_step(model, cfg.stage2_lr if stage_two else cfg.stage1_lr)
 
         l_m = parts.l_m.item() if parts.l_m is not None else 0.0

@@ -4,8 +4,8 @@ import pytest
 from segadapt.autodiff import (
     Tensor,
     ShapeMismatchError,
-    bias_add,
     concat,
+    linear,
     take_cols,
 )
 
@@ -171,6 +171,32 @@ def test_shared_subexpression_accumulates():
     y = x + x
     y.sum().backward()
     assert np.allclose(x.grad, [2.0])
+    a = Tensor([0.5], requires_grad=True)
+    s = a + a
+    (s * s).sum().backward()  # d/da (2a)^2 = 8a, through a shared interior node
+    assert np.array_equal(a.grad, [4.0])
+    u = Tensor([3.0, -1.0], requires_grad=True)
+    v = Tensor([2.0, 5.0], requires_grad=True)
+    (u * v + u).sum().backward()
+    assert np.array_equal(u.grad, [3.0, 6.0])  # v + 1
+    assert np.array_equal(v.grad, [3.0, -1.0])  # u
+
+
+def test_intermediate_nodes_keep_no_gradient():
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    w = Tensor([[0.5], [-1.0]], requires_grad=True)
+    b = Tensor([0.25], requires_grad=True)
+    hidden = linear(x, w, b)
+    act = hidden.tanh()
+    loss = (act * act).sum()
+    loss.backward()
+    for node in (hidden, act, loss):
+        assert node.requires_grad and node._parents
+        assert node.grad is None
+    loss.zero_grad()
+    assert loss.grad is None
+    for leaf in (x, w, b):
+        assert leaf.grad is not None and np.all(leaf.grad != 0.0)
 
 
 def test_repeated_backward_accumulates_until_zeroed():
@@ -180,8 +206,11 @@ def test_repeated_backward_accumulates_until_zeroed():
     loss.backward()
     assert np.allclose(x.grad, [8.0])
     x.zero_grad()
+    assert np.array_equal(x.grad, [0.0])
     loss.backward()
     assert np.allclose(x.grad, [4.0])
+    (x * 3.0).sum().backward()  # a second graph over the same leaf adds on
+    assert np.array_equal(x.grad, [7.0])
 
 
 def test_concat_and_take_cols_gradients():
@@ -201,17 +230,41 @@ def test_concat_and_take_cols_gradients():
     assert np.allclose(x.grad, np.ones((2, 3)))
 
 
-def test_bias_add_gradients():
-    x = Tensor(np.zeros((4, 3)), requires_grad=True)
-    b = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    bias_add(x, b).sum().backward()
-    assert np.allclose(x.grad, np.ones((4, 3)))
-    assert np.allclose(b.grad, [4.0, 4.0, 4.0])
+def test_linear_gradients():
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-2.0, 2.0, size=(4, 3))
+    w0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+    b0 = rng.uniform(-1.0, 1.0, size=2)
+    weights = rng.uniform(-1.0, 1.0, size=(4, 2))
+    x = Tensor(x0, requires_grad=True)
+    w = Tensor(w0, requires_grad=True)
+    b = Tensor(b0, requires_grad=True)
+    out = linear(x, w, b)
+    assert np.array_equal(out.data, x0 @ w0 + b0[None, :])
+    ((out * out) * Tensor(weights)).sum().backward()
+
+    def loss(xv, wv, bv):
+        y = xv @ wv + bv[None, :]
+        return float((y * y * weights).sum())
+
+    fd_x = fd_gradient(lambda f: loss(f.reshape(4, 3), w0, b0), x0.ravel()).reshape(4, 3)
+    fd_w = fd_gradient(lambda f: loss(x0, f.reshape(3, 2), b0), w0.ravel()).reshape(3, 2)
+    fd_b = fd_gradient(lambda f: loss(x0, w0, f), b0)
+    assert rel_error(x.grad, fd_x) < 1e-6
+    assert rel_error(w.grad, fd_w) < 1e-6
+    assert rel_error(b.grad, fd_b) < 1e-6
+
+
+def test_linear_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeMismatchError):
+        linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
 @pytest.mark.parametrize("name", [
     "add", "sub", "mul", "div", "log", "exp", "pow", "tanh",
-    "clamp", "softmax", "sum_axis", "masked_mean", "bias_add", "take_cols",
+    "clamp", "softmax", "sum_axis", "masked_mean", "linear", "take_cols",
 ])
 def test_every_op_gradient_vs_finite_differences(name):
     # Random inputs in [-2, 2] (shifted positive for log), eps=1e-5,
@@ -221,8 +274,9 @@ def test_every_op_gradient_vs_finite_differences(name):
     other = rng.uniform(0.5, 2.0, size=(3, 5))
     mask = rng.random((3, 5)) < 0.6
     cols = rng.integers(0, 5, size=5)
+    weight = rng.uniform(-1.0, 1.0, size=(5, 5))
     bias = rng.uniform(-1.0, 1.0, size=5)
-    linear = name in ("add", "sub", "sum_axis", "bias_add", "take_cols")
+    is_linear = name in ("add", "sub", "sum_axis", "linear", "take_cols")
 
     def build(values):
         t = Tensor(values, requires_grad=True)
@@ -250,8 +304,8 @@ def test_every_op_gradient_vs_finite_differences(name):
             return t, t.sum(axis=1)
         elif name == "masked_mean":
             return t, t.masked_mean(mask)
-        elif name == "bias_add":
-            out = bias_add(t, Tensor(bias))
+        elif name == "linear":
+            out = linear(t, Tensor(weight), Tensor(bias))
         elif name == "take_cols":
             out = take_cols(t, cols)
         else:
@@ -275,7 +329,7 @@ def test_every_op_gradient_vs_finite_differences(name):
         return scalarize(o).item()
 
     fd = fd_gradient(value, x0.ravel(), eps=1e-5).reshape(3, 5)
-    tol = 1e-6 if linear else 1e-4
+    tol = 1e-6 if is_linear else 1e-4
     # clamp is non-differentiable at its edges; keep FD away from them
     if name == "clamp":
         interior = (np.abs(x0) < 1.2) | (np.abs(x0) > 1.4)

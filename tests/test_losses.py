@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segadapt.autodiff import Tensor
 from segadapt.losses import (
@@ -394,3 +395,57 @@ def test_loss_gradients_match_finite_differences(kind):
     loss.backward()
     fd = fd_gradient(lambda flat: compute(flat)[1].item(), z0.ravel())
     assert rel_error(z.grad, fd.reshape(c, n)) < 1e-4
+
+
+# ------------------------------------------------- properties at the edges
+
+# probabilities of exactly 0 or 1 as well as interior values, and gamma in
+# [0, 4] with its edges and the (0, 1) range, where (1 - p)**(gamma - 1) is
+# infinite at p = 1
+EDGE_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+GAMMAS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0]), st.floats(0.0, 4.0))
+
+
+def binary_map(first, requires_grad=False):
+    """(2, N) leaf probability map with class-0 probabilities ``first``."""
+    p = np.asarray(first, dtype=np.float64)
+    return Tensor(np.stack([p, 1.0 - p]), requires_grad=requires_grad)
+
+
+def test_unsupervised_focal_saturated_pixel_has_finite_gradient():
+    # at p_star = 1 with gamma < 1, (1 - p)**(gamma - 1) is infinite where the flow is 0
+    p_hat = Tensor([[0.9], [0.1]])
+    p_star = Tensor([[1.0], [0.0]], requires_grad=True)
+    loss = unsupervised_focal_loss(p_hat, p_star, FULL1, 0.5)
+    loss.backward()
+    assert loss.item() == pytest.approx(-0.1 * math.log(1e-8))
+    assert np.all(np.isfinite(p_star.grad))
+    assert p_star.grad[0, 0] == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gamma=GAMMAS)
+def test_unsupervised_focal_finite_value_and_gradient(data, gamma):
+    n = data.draw(st.integers(1, 5))
+    pixels = st.lists(EDGE_PROBS, min_size=n, max_size=n)
+    p_hat = binary_map(data.draw(pixels), requires_grad=True)
+    p_star = binary_map(data.draw(pixels), requires_grad=True)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    loss = unsupervised_focal_loss(p_hat, p_star, mask, gamma)
+    loss.backward()
+    assert np.isfinite(loss.item())
+    assert np.all(np.isfinite(p_hat.grad)) and np.all(np.isfinite(p_star.grad))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gamma=GAMMAS)
+def test_supervised_focal_finite_value_and_gradient(data, gamma):
+    n = data.draw(st.integers(1, 5))
+    p = binary_map(data.draw(st.lists(EDGE_PROBS, min_size=n, max_size=n)),
+                   requires_grad=True)
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1, IGNORE_LABEL]),
+                                         min_size=n, max_size=n)))
+    loss = supervised_focal_loss(p, labels, gamma)
+    loss.backward()
+    assert np.isfinite(loss.item())
+    assert np.all(np.isfinite(p.grad))

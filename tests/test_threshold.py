@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segadapt.threshold import (
     ThresholdState,
@@ -114,6 +115,22 @@ def test_alpha_boundedness_over_random_updates():
         n = int(rng.integers(1, 40))
         conf = rng.random(n)
         labels = rng.integers(0, 4, size=n)
+        update(state, conf, labels)
+        assert np.all(state.alpha >= 0.0) and np.all(state.alpha <= 1.0)
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), a=UNIT, b=UNIT, d=st.floats(0.0, 20.0), t0=UNIT)
+def test_alpha_stays_in_unit_interval_after_update(data, a, b, d, t0):
+    state = ThresholdState.initial(3, a=a, b=b, d=d, t0=t0)
+    for _ in range(data.draw(st.integers(1, 4))):
+        n = data.draw(st.integers(1, 8))
+        conf = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0]), UNIT), min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
         update(state, conf, labels)
         assert np.all(state.alpha >= 0.0) and np.all(state.alpha <= 1.0)
 

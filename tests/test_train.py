@@ -8,6 +8,7 @@ from segadapt.config import TrainConfig, format_config, make_config, parse_confi
 from segadapt.data import perturb, pixel_features
 from segadapt.losses import (
     LossConfig,
+    StageLosses,
     adjusted_kl_loss,
     shannon_entropy_loss,
     stage1_loss,
@@ -16,6 +17,7 @@ from segadapt.losses import (
 from segadapt.metrics import evaluate_miou
 from segadapt.model import PixelModel, load_model, save_model
 from segadapt.threshold import adaptive_mask, confidence_and_argmax
+import segadapt.train as train_module
 from segadapt.train import (
     TrainingDiverged,
     build_datasets,
@@ -45,13 +47,13 @@ def small_run():
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nseed = 3\nlambda_u = 0.1  # inline note\n"
-                    "stage2_reset_threshold = false\n\n")
+                    "gamma = 0.5\n\n")
     values = parse_config_file(path)
-    assert values == {"seed": 3, "lambda_u": 0.1, "stage2_reset_threshold": False}
+    assert values == {"seed": 3, "lambda_u": 0.1, "gamma": 0.5}
     cfg = make_config(path, {"lambda_u": "0.2"})
     assert cfg.seed == 3
     assert cfg.lambda_u == 0.2  # flag overrides file
-    assert cfg.stage2_reset_threshold is False
+    assert cfg.gamma == 0.5
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -216,6 +218,45 @@ def test_divergence_detection_raises():
     broken.w1.data[0, 0] = np.nan
     with pytest.raises(TrainingDiverged):
         train_stage1(cfg, datasets=(source, target), init_model=broken)
+
+
+def _poison_gradient(loss_fn, bad_call):
+    """Wrap a loss so its ``bad_call``-th call keeps a finite value but gets a nan gradient.
+
+    ``(p - p) ** 0.5`` is 0 in value; its derivative at 0 is infinite, and the
+    two branches of ``p - p`` meet as inf - inf = nan.
+    """
+    calls = 0
+
+    def wrapped(p, *args):
+        nonlocal calls
+        out = loss_fn(p, *args)
+        calls += 1
+        if calls == bad_call:
+            poison = ((p - p) ** 0.5).sum()
+            if isinstance(out, StageLosses):
+                return StageLosses(total=out.total + poison, l_s=out.l_s, l_u=out.l_u)
+            return out + poison
+        return out
+
+    return wrapped
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_gradient_of_finite_loss_names_its_step(monkeypatch):
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 4, "target_scenes": 4,
+                         "pretrain_steps": 5, "stage1_steps": 5})
+    monkeypatch.setattr(train_module, "supervised_ce_loss",
+                        _poison_gradient(supervised_ce_loss, bad_call=3))
+    with pytest.raises(TrainingDiverged, match="pretraining gradient of w1 at step 2"):
+        pretrain_source(cfg)
+    monkeypatch.undo()
+
+    source, target, _ = build_datasets(cfg)
+    base = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6))
+    monkeypatch.setattr(train_module, "stage1_loss", _poison_gradient(stage1_loss, bad_call=4))
+    with pytest.raises(TrainingDiverged, match="stage1 gradient of w1 at step 3"):
+        train_stage1(cfg, datasets=(source, target), init_model=base)
 
 
 def test_pipeline_outputs_and_determinism(tmp_path):
