@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``gen-data``, ``train-stage1``, ``train-stage2``, ``eval``,
-``mix-preview``, ``gradcurves``.  Training commands read a line-oriented
-``key = value`` config file; every TrainConfig field is also exposed as a
-``--field-name`` flag that overrides the file.
+Subcommands: ``gen-data``, ``train``, ``eval``, ``mix-preview``,
+``gradcurves``.  ``train`` runs :func:`segadapt.train.run_pipeline` (source
+pretraining, stage one, stage two) and saves the three models next to its
+CSVs.  All but ``gradcurves`` read a line-oriented ``key = value`` config
+file; every TrainConfig field is also exposed as a ``--field-name`` flag that
+overrides the file.
 """
 
 from __future__ import annotations
@@ -16,22 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from segadapt.config import TrainConfig, make_config
-from segadapt.data import generate_domain, scene_spec
 from segadapt.gradcurves import KINDS, REFERENCE_FOCAL_MIN, curve, emit_csv, find_global_min
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
 from segadapt.model import load_model, save_model
 from segadapt.netpbm import write_pgm, write_ppm
 from segadapt.threshold import ThresholdState
-from segadapt.train import (
-    build_datasets,
-    pretrain_source,
-    train_stage1,
-    train_stage2,
-    write_iou_csv,
-    write_metrics_csv,
-    write_thresholds_csv,
-)
+from segadapt.train import build_datasets, run_pipeline, write_iou_csv
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -52,56 +45,31 @@ def _config_from(args: argparse.Namespace) -> TrainConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from(args)
+    if args.count:
+        cfg = dataclasses.replace(cfg, source_scenes=args.count, target_scenes=args.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    spec = scene_spec(cfg)
-    domains = ("source", "target") if args.domain == "both" else (args.domain,)
-    for domain in domains:
-        count = args.count or (cfg.source_scenes if domain == "source" else cfg.target_scenes)
-        stream = 0 if domain == "source" else 1
-        scenes = generate_domain(spec, domain, count, (cfg.seed, stream))
+    source, target, _ = build_datasets(cfg)
+    for domain, scenes in (("source", source), ("target", target)):
+        if args.domain not in (domain, "both"):
+            continue
         for i, (image, labels) in enumerate(scenes):
             write_ppm(out / f"{domain}_{i:04d}.ppm", image)
             write_pgm(out / f"{domain}_{i:04d}_labels.pgm", labels)
-        print(f"wrote {count} {domain} scenes to {out}")
+        print(f"wrote {len(scenes)} {domain} scenes to {out}")
     return 0
 
 
-def _cmd_train_stage1(args) -> int:
+def _cmd_train(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    source, target, _ = build_datasets(cfg)
-    baseline = pretrain_source(cfg, source)
-    _, base_miou = evaluate_miou(baseline, target, cfg.num_classes)
-    model, log = train_stage1(cfg, datasets=(source, target), init_model=baseline)
-    iou, miou = evaluate_miou(model, target, cfg.num_classes)
-    save_model(out / "source_model.npz", baseline)
-    save_model(out / "stage1_model.npz", model)
-    write_metrics_csv(out / "stage1_metrics.csv", log.metrics)
-    write_thresholds_csv(out / "stage1_thresholds.csv", log.thresholds)
-    write_iou_csv(out / "stage1_ious.csv", iou, miou)
-    print(f"source-only target mIoU: {base_miou:.4f}")
-    print(f"stage-one  target mIoU: {miou:.4f}")
-    print(f"artifacts in {out}")
-    return 0
-
-
-def _cmd_train_stage2(args) -> int:
-    cfg = _config_from(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stage1_model = load_model(args.stage1_model)
-    source_model = load_model(args.source_model) if args.source_model else None
-    source, target, _ = build_datasets(cfg)
-    model, log = train_stage2(cfg, stage1_model, datasets=(source, target),
-                              source_model=source_model)
-    iou, miou = evaluate_miou(model, target, cfg.num_classes)
-    save_model(out / "stage2_model.npz", model)
-    write_metrics_csv(out / "stage2_metrics.csv", log.metrics)
-    write_thresholds_csv(out / "stage2_thresholds.csv", log.thresholds)
-    write_iou_csv(out / "stage2_ious.csv", iou, miou)
-    print(f"stage-two target mIoU: {miou:.4f}")
+    summary = run_pipeline(cfg, out)
+    for stage, key in (("source", "baseline_model"), ("stage1", "stage1_model"),
+                       ("stage2", "stage2_model")):
+        save_model(out / f"{stage}_model.npz", summary[key])
+    print(f"source-only target mIoU: {summary['baseline_target_miou']:.4f}")
+    print(f"stage-one target mIoU: {summary['stage1_target_miou']:.4f}")
+    print(f"stage-two target mIoU: {summary['stage2_target_miou']:.4f}")
     print(f"artifacts in {out}")
     return 0
 
@@ -173,18 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=None, help="scenes per domain")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train-stage1", help="pretrain on source, then stage-one adaptation")
+    p = sub.add_parser("train", help="source pretraining, stage one and stage two")
     _add_config_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_train_stage1)
-
-    p = sub.add_parser("train-stage2", help="stage-two adaptation with mixed samples")
-    _add_config_arguments(p)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stage1-model", required=True, help="stage-one model .npz")
-    p.add_argument("--source-model", default=None,
-                   help="source-pretrained model .npz (re-pretrained when omitted)")
-    p.set_defaults(func=_cmd_train_stage2)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="per-class IoU and mIoU of a saved model")
     _add_config_arguments(p)

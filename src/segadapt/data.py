@@ -64,14 +64,22 @@ class SceneSpec:
 
 
 def scene_spec(cfg: TrainConfig) -> SceneSpec:
-    """Derive the scene recipe from a flat training config."""
+    """Derive the scene recipe from a flat training config; a bad field raises ValueError."""
     c = cfg.num_classes
+    if not 2 <= c <= len(_BASE_COLORS):
+        raise ValueError(f"num_classes must be in [2, {len(_BASE_COLORS)}] "
+                         f"(one distinct color per class), got {c}")
+    if not 0 <= cfg.rare_class < c:
+        raise ValueError(f"rare_class must be in [0, num_classes={c}), got {cfg.rare_class}")
+    for name in ("height", "width"):
+        if getattr(cfg, name) % cfg.cell:
+            raise ValueError(f"{name} must be a multiple of cell={cfg.cell}, "
+                             f"got {getattr(cfg, name)}")
     weights = np.ones(c)
     weights[0] = 0.0  # background never placed explicitly
-    if 0 <= cfg.rare_class < c:
-        weights[cfg.rare_class] = cfg.rare_weight
+    weights[cfg.rare_class] = cfg.rare_weight
     weights = weights / weights.sum()
-    colors = _BASE_COLORS[np.arange(c) % len(_BASE_COLORS)].copy()
+    colors = _BASE_COLORS[:c].copy()
     lo = max(4, cfg.cell // 3)
     hi = cfg.cell - 2
     rare_hi = max(lo + 1, cfg.cell // 2)  # rare shapes are also small

@@ -116,10 +116,8 @@ def _check_grads(model: PixelModel, step: int, stage: str) -> None:
             raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
 
 
-def pretrain_source(cfg: TrainConfig, source=None) -> PixelModel:
+def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
     """Supervised training on the source domain only."""
-    if source is None:
-        source, _, _ = build_datasets(cfg)
     model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=_rng(cfg, _STREAM_MODEL_INIT))
     feats = [pixel_features(img) for img, _ in source]
     flat_labels = [labels.ravel() for _, labels in source]
@@ -155,30 +153,22 @@ def _subsample(cfg, rng_batch, n):
     return rng_batch.permutation(n)[:cfg.batch_pixels]
 
 
-def train_stage1(cfg: TrainConfig, datasets=None, init_model: PixelModel | None = None):
-    """Stage-one adaptation; returns the trained model and its log."""
-    if datasets is None:
-        source, target, _ = build_datasets(cfg)
-    else:
-        source, target = datasets
-    model = (init_model or pretrain_source(cfg, source)).clone()
-    return _adaptation_loop(cfg, model, source, target, stage="stage1",
+def train_stage1(cfg: TrainConfig, datasets, init_model: PixelModel):
+    """Stage-one adaptation from a copy of ``init_model``; returns the model and its log."""
+    source, target = datasets
+    return _adaptation_loop(cfg, init_model.clone(), source, target, stage="stage1",
                             steps=cfg.stage1_steps, pseudo_model=None)
 
 
-def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets=None,
-                 source_model: PixelModel | None = None):
+def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
+                 source_model: PixelModel):
     """Stage-two adaptation with mixed samples; returns model and log.
 
     The optimized model restarts from the source-pretrained weights while the
     frozen stage-one model produces the pseudo labels.
     """
-    if datasets is None:
-        source, target, _ = build_datasets(cfg)
-    else:
-        source, target = datasets
-    model = (source_model or pretrain_source(cfg, source)).clone()
-    return _adaptation_loop(cfg, model, source, target, stage="stage2",
+    source, target = datasets
+    return _adaptation_loop(cfg, source_model.clone(), source, target, stage="stage2",
                             steps=cfg.stage2_steps, pseudo_model=stage1_model)
 
 
@@ -287,16 +277,16 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
     Returns a summary dict; when ``out_dir`` is given, writes the metrics,
     threshold, and IoU CSVs there (deterministic bytes under a fixed seed).
     """
-    source, target, spec_obj = build_datasets(cfg)
+    source, target, _ = build_datasets(cfg)
     datasets = (source, target)
 
     baseline = pretrain_source(cfg, source)
     base_iou, base_miou = evaluate_miou(baseline, target, cfg.num_classes)
-    base_src_iou, base_src_miou = evaluate_miou(baseline, source, cfg.num_classes)
+    _, base_src_miou = evaluate_miou(baseline, source, cfg.num_classes)
 
     stage1_model, log1 = train_stage1(cfg, datasets=datasets, init_model=baseline)
     s1_iou, s1_miou = evaluate_miou(stage1_model, target, cfg.num_classes)
-    s1_src_iou, s1_src_miou = evaluate_miou(stage1_model, source, cfg.num_classes)
+    _, s1_src_miou = evaluate_miou(stage1_model, source, cfg.num_classes)
 
     stage2_model, log2 = train_stage2(cfg, stage1_model, datasets=datasets,
                                       source_model=baseline)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -269,7 +271,7 @@ def test_linear_shape_mismatch():
 def test_every_op_gradient_vs_finite_differences(name):
     # Random inputs in [-2, 2] (shifted positive for log), eps=1e-5,
     # double precision; rel-err < 1e-4 overall, < 1e-6 for linear ops.
-    rng = np.random.default_rng(hash(name) % (2 ** 32))
+    rng = np.random.default_rng(zlib.crc32(name.encode()))  # same inputs in every interpreter
     x0 = rng.uniform(-2.0, 2.0, size=(3, 5))
     other = rng.uniform(0.5, 2.0, size=(3, 5))
     mask = rng.random((3, 5)) < 0.6

@@ -67,25 +67,23 @@ def test_mix_preview_outputs(tmp_path):
 
 
 def test_training_cli_end_to_end(tmp_path, capsys):
-    stage1_dir = tmp_path / "s1"
-    rc = main(["train-stage1", "--out", str(stage1_dir), *TINY])
+    run_dir = tmp_path / "run"
+    rc = main(["train", "--out", str(run_dir), *TINY])
     assert rc == 0
-    for name in ("source_model.npz", "stage1_model.npz", "stage1_metrics.csv",
-                 "stage1_thresholds.csv", "stage1_ious.csv"):
-        assert (stage1_dir / name).exists()
-    with open(stage1_dir / "stage1_metrics.csv") as fh:
+    for name in ("source_model.npz", "stage1_model.npz", "stage2_model.npz",
+                 "baseline_ious.csv", "stage1_metrics.csv", "stage1_thresholds.csv",
+                 "stage1_ious.csv", "stage2_metrics.csv", "stage2_thresholds.csv",
+                 "stage2_ious.csv"):
+        assert (run_dir / name).exists()
+    with open(run_dir / "stage1_metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30
     assert set(rows[0]) == {"step", "L_s", "L_u", "L_m", "total"}
+    printed = capsys.readouterr().out
+    for stage in ("source-only", "stage-one", "stage-two"):
+        assert f"{stage} target mIoU:" in printed
 
-    stage2_dir = tmp_path / "s2"
-    rc = main(["train-stage2", "--out", str(stage2_dir),
-               "--stage1-model", str(stage1_dir / "stage1_model.npz"),
-               "--source-model", str(stage1_dir / "source_model.npz"), *TINY])
-    assert rc == 0
-    assert (stage2_dir / "stage2_model.npz").exists()
-
-    rc = main(["eval", "--model", str(stage2_dir / "stage2_model.npz"),
+    rc = main(["eval", "--model", str(run_dir / "stage2_model.npz"),
                "--out", str(tmp_path / "ious.csv"), *TINY])
     assert rc == 0
     printed = capsys.readouterr().out
@@ -94,6 +92,8 @@ def test_training_cli_end_to_end(tmp_path, capsys):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "class_id,iou"
     assert lines[-1].startswith("mean,")
+    # the saved stage-two model scores what the run's own IoU file says
+    assert lines == (run_dir / "stage2_ious.csv").read_text().strip().splitlines()
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):

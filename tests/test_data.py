@@ -105,3 +105,16 @@ def test_perturb_draws_flip_eventually():
 def test_generate_scene_rejects_unknown_domain():
     with pytest.raises(ValueError):
         generate_scene(default_spec(), "other", np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("num_classes", dict(num_classes=6)),
+    ("num_classes", dict(num_classes=1)),
+    ("rare_class", dict(rare_class=5)),
+    ("rare_class", dict(num_classes=3, rare_class=-1)),
+    ("height", dict(height=40)),
+    ("width", dict(width=70, cell=8)),
+])
+def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        default_spec(**overrides)

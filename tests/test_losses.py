@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -362,7 +363,7 @@ def test_stage2_component_recomposition():
 
 @pytest.mark.parametrize("kind", ["shannon", "kl", "focal", "ce", "focal_sup", "square"])
 def test_loss_gradients_match_finite_differences(kind):
-    rng = np.random.default_rng(hash(kind) % (2 ** 32))
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))  # same inputs in every interpreter
     c, n = 4, 5
     z0 = rng.normal(size=(c, n))
     aux = rng.normal(size=(c, n))

@@ -249,7 +249,7 @@ def test_non_finite_gradient_of_finite_loss_names_its_step(monkeypatch):
     monkeypatch.setattr(train_module, "supervised_ce_loss",
                         _poison_gradient(supervised_ce_loss, bad_call=3))
     with pytest.raises(TrainingDiverged, match="pretraining gradient of w1 at step 2"):
-        pretrain_source(cfg)
+        pretrain_source(cfg, build_datasets(cfg)[0])
     monkeypatch.undo()
 
     source, target, _ = build_datasets(cfg)
