@@ -16,15 +16,12 @@ from segadapt import (
     long_tail_paste,
     make_mix_mask,
     mix,
-    scene_spec,
 )
-from segadapt.data import generate_domain
 from segadapt.netpbm import write_pgm, write_ppm
+from segadapt.train import build_datasets
 
 cfg = TrainConfig(source_scenes=20, target_scenes=20)
-spec = scene_spec(cfg)
-source = generate_domain(spec, "source", cfg.source_scenes, (cfg.seed, 0))
-target = generate_domain(spec, "target", cfg.target_scenes, (cfg.seed, 1))
+source, target, _ = build_datasets(cfg)
 rng = np.random.default_rng(3)
 
 db = build_category_db(source, cfg.num_classes)

@@ -6,13 +6,12 @@ cross-domain image mixing, a synthetic two-domain segmentation pipeline,
 and a binary gradient-landscape analyzer.
 """
 
-from segadapt.autodiff import Tensor, ShapeMismatchError, tensor, concat, linear, take_cols
+from segadapt.autodiff import Tensor, ShapeMismatchError, concat, linear, take_cols
 from segadapt.config import TrainConfig, make_config, parse_config_file
 from segadapt.data import SceneSpec, generate_domain, perturb, pixel_features, scene_spec
 from segadapt.gradcurves import curve, emit_csv, find_global_min
 from segadapt.losses import (
     IGNORE_LABEL,
-    LossConfig,
     adjusted_kl_loss,
     focal_decomposition_check,
     maximum_square_loss,

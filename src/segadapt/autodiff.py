@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeMismatchError",
-    "tensor",
     "concat",
     "linear",
     "take_cols",
@@ -69,10 +68,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -283,10 +278,6 @@ class Tensor:
 
 
 # ----------------------------------------------------------------- free ops
-
-
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(values, requires_grad=requires_grad)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

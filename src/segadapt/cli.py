@@ -20,11 +20,11 @@ import numpy as np
 from segadapt.config import TrainConfig, make_config
 from segadapt.gradcurves import KINDS, REFERENCE_FOCAL_MIN, curve, emit_csv, find_global_min
 from segadapt.metrics import evaluate_miou
-from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
+from segadapt.mixing import build_category_db, pseudo_labels
 from segadapt.model import load_model, save_model
 from segadapt.netpbm import write_pgm, write_ppm
 from segadapt.threshold import ThresholdState
-from segadapt.train import build_datasets, run_pipeline, write_iou_csv
+from segadapt.train import build_datasets, mixed_pair, run_pipeline, write_iou_csv
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -97,15 +97,13 @@ def _cmd_mix_preview(args) -> int:
     rng = np.random.default_rng(cfg.seed if args.preview_seed is None else args.preview_seed)
     db = build_category_db(source, cfg.num_classes)
     alpha = ThresholdState.initial(cfg.num_classes, t0=cfg.threshold_t0).alpha
-    s_img, s_lab = source[int(rng.integers(len(source)))]
+    source_pair = source[int(rng.integers(len(source)))]
     t_img, t_lab = target[int(rng.integers(len(target)))]
-    pasted_img, pasted_lab = long_tail_paste(s_img, s_lab, db, alpha, rng, cfg.paste_count)
     if args.model:
         labels_t = pseudo_labels(t_img, load_model(args.model))
     else:
         labels_t = t_lab  # preview without a trained model: use generated labels
-    result = mix(pasted_img, pasted_lab, t_img, labels_t,
-                 make_mix_mask(pasted_lab, rng))
+    result = mixed_pair(cfg, db, source_pair, alpha, t_img, labels_t, rng, rng)
     write_ppm(out / "mix_image.ppm", result.image)
     write_pgm(out / "mix_labels.pgm", result.labels)
     write_pgm(out / "mix_weights.pgm", result.weights)

@@ -68,13 +68,10 @@ _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def _coerce(name: str, raw: str):
     if name not in _FIELDS:
         raise KeyError(f"unknown config key: {name!r}")
-    kind = _FIELDS[name].type
     raw = raw.strip()
-    if kind == "int":
+    if _FIELDS[name].type == "int":
         return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    return float(raw)
 
 
 def parse_config_file(path) -> dict:

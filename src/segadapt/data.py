@@ -71,10 +71,14 @@ def scene_spec(cfg: TrainConfig) -> SceneSpec:
                          f"(one distinct color per class), got {c}")
     if not 0 <= cfg.rare_class < c:
         raise ValueError(f"rare_class must be in [0, num_classes={c}), got {cfg.rare_class}")
+    if cfg.cell < 6:
+        raise ValueError(f"cell must be at least 6, so that the shape side range "
+                         f"[max(4, cell // 3), cell - 2] is not empty, got {cfg.cell}")
     for name in ("height", "width"):
-        if getattr(cfg, name) % cfg.cell:
-            raise ValueError(f"{name} must be a multiple of cell={cfg.cell}, "
-                             f"got {getattr(cfg, name)}")
+        size = getattr(cfg, name)
+        if size <= 0 or size % cfg.cell:
+            raise ValueError(f"{name} must be a positive multiple of cell={cfg.cell}, "
+                             f"got {size}")
     weights = np.ones(c)
     weights[0] = 0.0  # background never placed explicitly
     weights[cfg.rare_class] = cfg.rare_weight

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from segadapt.autodiff import Tensor
+from segadapt.config import TrainConfig
 
 IGNORE_LABEL = 255
 
 __all__ = [
     "IGNORE_LABEL",
-    "LossConfig",
     "StageLosses",
     "shannon_entropy_loss",
     "adjusted_kl_loss",
@@ -36,16 +36,6 @@ __all__ = [
     "stage1_loss",
     "stage2_loss",
 ]
-
-
-@dataclass
-class LossConfig:
-    """Loss hyperparameters; defaults follow the tuned operating point."""
-
-    gamma: float = 2.0
-    lambda_u: float = 0.05
-    lambda_m: float = 1.0
-    epsilon: float = 1e-8
 
 
 @dataclass
@@ -190,7 +180,7 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
 
 
 def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,
-                cfg: LossConfig) -> StageLosses:
+                cfg: TrainConfig) -> StageLosses:
     """Source cross entropy plus ``lambda_u`` times the unsupervised focal loss."""
     l_s = supervised_ce_loss(p_s, y_s, cfg.epsilon)
     l_u = unsupervised_focal_loss(p_hat_t, p_star_t, target_mask, cfg.gamma, cfg.epsilon)
@@ -199,10 +189,9 @@ def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask
 
 
 def stage2_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,
-                p_m: Tensor, y_m, w_m, cfg: LossConfig) -> StageLosses:
-    """Stage-one composite extended with the weighted mixed-pair cross entropy."""
-    l_s = supervised_ce_loss(p_s, y_s, cfg.epsilon)
-    l_u = unsupervised_focal_loss(p_hat_t, p_star_t, target_mask, cfg.gamma, cfg.epsilon)
+                p_m: Tensor, y_m, w_m, cfg: TrainConfig) -> StageLosses:
+    """Stage-one composite plus ``lambda_m`` times the weighted mixed-pair cross entropy."""
+    stage1 = stage1_loss(p_s, y_s, p_hat_t, p_star_t, target_mask, cfg)
     l_m = mixed_ce_loss(p_m, y_m, w_m, cfg.epsilon)
-    total = l_s + cfg.lambda_u * l_u + cfg.lambda_m * l_m
-    return StageLosses(total=total, l_s=l_s, l_u=l_u, l_m=l_m)
+    return StageLosses(total=stage1.total + cfg.lambda_m * l_m, l_s=stage1.l_s,
+                       l_u=stage1.l_u, l_m=l_m)

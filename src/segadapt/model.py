@@ -13,14 +13,12 @@ __all__ = ["PixelModel", "save_model", "load_model"]
 class PixelModel:
     """Two-layer MLP mapping feature rows (N, F) to class-major prob maps (C, N)."""
 
-    def __init__(self, num_classes: int, hidden: int = 16,
-                 num_features: int = NUM_FEATURES, rng=None):
+    def __init__(self, num_classes: int, hidden: int = 16, rng=None):
         rng = rng or np.random.default_rng(0)
         self.num_classes = num_classes
         self.hidden = hidden
-        self.num_features = num_features
-        self.w1 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(num_features),
-                                    size=(num_features, hidden)), requires_grad=True)
+        self.w1 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(NUM_FEATURES),
+                                    size=(NUM_FEATURES, hidden)), requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.w2 = Tensor(rng.normal(0.0, 1.0 / np.sqrt(hidden),
                                     size=(hidden, num_classes)), requires_grad=True)
@@ -62,19 +60,17 @@ class PixelModel:
             param.zero_grad()
 
     def clone(self) -> "PixelModel":
-        twin = PixelModel(self.num_classes, self.hidden, self.num_features)
+        twin = PixelModel(self.num_classes, self.hidden)
         twin.load_state_dict(self.state_dict())
         return twin
 
 
 def save_model(path, model: PixelModel) -> None:
-    np.savez(path, num_classes=model.num_classes, hidden=model.hidden,
-             num_features=model.num_features, **model.state_dict())
+    np.savez(path, num_classes=model.num_classes, hidden=model.hidden, **model.state_dict())
 
 
 def load_model(path) -> PixelModel:
     with np.load(path) as data:
-        model = PixelModel(int(data["num_classes"]), int(data["hidden"]),
-                           int(data["num_features"]))
+        model = PixelModel(int(data["num_classes"]), int(data["hidden"]))
         model.load_state_dict({k: data[k] for k in ("w1", "b1", "w2", "b2")})
     return model

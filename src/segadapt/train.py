@@ -26,7 +26,7 @@ from segadapt.data import (
     pixel_features,
     scene_spec,
 )
-from segadapt.losses import LossConfig, StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
+from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
 from segadapt.model import PixelModel
@@ -39,6 +39,7 @@ __all__ = [
     "pretrain_source",
     "train_stage1",
     "train_stage2",
+    "mixed_pair",
     "run_pipeline",
     "write_metrics_csv",
     "write_thresholds_csv",
@@ -76,11 +77,6 @@ def _rng(cfg: TrainConfig, stream: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, stream))
 
 
-def _loss_config(cfg: TrainConfig) -> LossConfig:
-    return LossConfig(gamma=cfg.gamma, lambda_u=cfg.lambda_u,
-                      lambda_m=cfg.lambda_m, epsilon=cfg.epsilon)
-
-
 def _threshold_state(cfg: TrainConfig) -> ThresholdState:
     return ThresholdState.initial(cfg.num_classes, a=cfg.threshold_a,
                                   b=cfg.threshold_b, d=cfg.threshold_d,
@@ -95,12 +91,6 @@ def build_datasets(cfg: TrainConfig):
     return source, target, spec
 
 
-def _sgd_step(model: PixelModel, lr: float) -> None:
-    for p in model.params:
-        p.data = p.data - lr * p.grad
-        p.zero_grad()
-
-
 def _check_finite(parts: StageLosses, step: int, stage: str) -> float:
     total = parts.total.item()
     if not np.isfinite(total):
@@ -110,10 +100,15 @@ def _check_finite(parts: StageLosses, step: int, stage: str) -> float:
     return total
 
 
-def _check_grads(model: PixelModel, step: int, stage: str) -> None:
+def _descend(model: PixelModel, loss, lr: float, step: int, stage: str) -> None:
+    """Backpropagate ``loss``, check every parameter gradient is finite, take an SGD step."""
+    loss.backward()
     for name, p in zip(("w1", "b1", "w2", "b2"), model.params):
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
+    for p in model.params:
+        p.data = p.data - lr * p.grad
+        p.zero_grad()
 
 
 def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
@@ -127,9 +122,7 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
         loss = supervised_ce_loss(model.prob_map(feats[i]), flat_labels[i], cfg.epsilon)
         if not np.isfinite(loss.item()):
             raise TrainingDiverged(f"non-finite pretraining loss at step {step}")
-        loss.backward()
-        _check_grads(model, step, "pretraining")
-        _sgd_step(model, cfg.learning_rate)
+        _descend(model, loss, cfg.learning_rate, step, "pretraining")
     return model
 
 
@@ -153,11 +146,19 @@ def _subsample(cfg, rng_batch, n):
     return rng_batch.permutation(n)[:cfg.batch_pixels]
 
 
+def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_labels,
+               rng_paste, rng_mix):
+    """Long-tail paste into ``source_pair``, then splice it onto the target image."""
+    pasted_img, pasted_lab = long_tail_paste(*source_pair, db, alpha, rng_paste, cfg.paste_count)
+    return mix(pasted_img, pasted_lab, target_image, target_labels,
+               make_mix_mask(pasted_lab, rng_mix))
+
+
 def train_stage1(cfg: TrainConfig, datasets, init_model: PixelModel):
     """Stage-one adaptation from a copy of ``init_model``; returns the model and its log."""
-    source, target = datasets
-    return _adaptation_loop(cfg, init_model.clone(), source, target, stage="stage1",
-                            steps=cfg.stage1_steps, pseudo_model=None)
+    return _adaptation_loop(cfg, init_model.clone(), datasets, "stage1", cfg.stage1_steps,
+                            cfg.stage1_lr, _rng(cfg, _STREAM_STAGE1),
+                            _rng(cfg, _STREAM_STAGE1_PERTURB))
 
 
 def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
@@ -167,14 +168,15 @@ def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
     The optimized model restarts from the source-pretrained weights while the
     frozen stage-one model produces the pseudo labels.
     """
+    return _adaptation_loop(cfg, source_model.clone(), datasets, "stage2", cfg.stage2_steps,
+                            cfg.stage2_lr, _rng(cfg, _STREAM_STAGE2),
+                            _rng(cfg, _STREAM_STAGE2_PERTURB), pseudo_model=stage1_model)
+
+
+def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_perturb,
+                     pseudo_model=None):
+    """Stage one's step; a ``pseudo_model`` adds stage two's mixed-pair term."""
     source, target = datasets
-    return _adaptation_loop(cfg, source_model.clone(), source, target, stage="stage2",
-                            steps=cfg.stage2_steps, pseudo_model=stage1_model)
-
-
-def _adaptation_loop(cfg, model, source, target, stage, steps, pseudo_model):
-    stage_two = pseudo_model is not None
-    loss_cfg = _loss_config(cfg)
     state = _threshold_state(cfg)
     log = TrainLog()
 
@@ -182,10 +184,8 @@ def _adaptation_loop(cfg, model, source, target, stage, steps, pseudo_model):
     labels_s = [labels.ravel() for _, labels in source]
     feats_t = [pixel_features(img) for img, _ in target]
 
-    rng_pick = _rng(cfg, _STREAM_STAGE2 if stage_two else _STREAM_STAGE1)
-    rng_perturb = _rng(cfg, _STREAM_STAGE2_PERTURB if stage_two else _STREAM_STAGE1_PERTURB)
     rng_batch = _rng(cfg, _STREAM_BATCH)
-    if stage_two:
+    if pseudo_model is not None:
         rng_paste = _rng(cfg, _STREAM_PASTE)
         rng_mix = _rng(cfg, _STREAM_MIX)
         db = build_category_db(source, cfg.num_classes)
@@ -210,26 +210,21 @@ def _adaptation_loop(cfg, model, source, target, stage, steps, pseudo_model):
             p_s, y_s = take_cols(p_s, cols), y_s[cols]
             p_hat, p_star, mask = take_cols(p_hat, cols), take_cols(p_star, cols), mask[cols]
 
-        if stage_two:
+        if pseudo_model is None:
+            parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
+        else:
             d_idx = int(rng_pick.integers(len(source)))
             m_idx = int(rng_pick.integers(len(target)))
-            pasted_img, pasted_lab = long_tail_paste(
-                source[d_idx][0], source[d_idx][1], db, state.alpha,
-                rng_paste, cfg.paste_count)
             if m_idx not in pseudo_cache:
                 pseudo_cache[m_idx] = pseudo_labels(target[m_idx][0], pseudo_model)
-            mixed = mix(pasted_img, pasted_lab, target[m_idx][0],
-                        pseudo_cache[m_idx], make_mix_mask(pasted_lab, rng_mix))
+            mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
+                               pseudo_cache[m_idx], rng_paste, rng_mix)
             p_m = model.prob_map(pixel_features(mixed.image))
             parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
-                                mixed.labels.ravel(), mixed.weights.ravel(), loss_cfg)
-        else:
-            parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, loss_cfg)
+                                mixed.labels.ravel(), mixed.weights.ravel(), cfg)
 
         total = _check_finite(parts, step, stage)
-        parts.total.backward()
-        _check_grads(model, step, stage)
-        _sgd_step(model, cfg.stage2_lr if stage_two else cfg.stage1_lr)
+        _descend(model, parts.total, lr, step, stage)
 
         l_m = parts.l_m.item() if parts.l_m is not None else 0.0
         log.metrics.append((step, parts.l_s.item(), parts.l_u.item(), l_m, total))
@@ -245,30 +240,24 @@ def _adaptation_loop(cfg, model, source, target, stage, steps, pseudo_model):
 # ----------------------------------------------------------------- CSV output
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _write_csv(path, header: str, rows) -> None:
+    """``header`` then one line per row; floats get 17 significant digits (``nan`` stays)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def write_metrics_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,L_s,L_u,L_m,total\n")
-        for step, l_s, l_u, l_m, total in rows:
-            fh.write(f"{step},{_fmt(l_s)},{_fmt(l_u)},{_fmt(l_m)},{_fmt(total)}\n")
+    _write_csv(path, "step,L_s,L_u,L_m,total", rows)
 
 
 def write_thresholds_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,class_id,alpha\n")
-        for step, class_id, alpha in rows:
-            fh.write(f"{step},{class_id},{_fmt(alpha)}\n")
+    _write_csv(path, "step,class_id,alpha", rows)
 
 
 def write_iou_csv(path, iou: np.ndarray, miou: float) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("class_id,iou\n")
-        for c, value in enumerate(iou):
-            fh.write(f"{c},{'nan' if np.isnan(value) else _fmt(value)}\n")
-        fh.write(f"mean,{_fmt(miou)}\n")
+    _write_csv(path, "class_id,iou", [*enumerate(iou), ("mean", miou)])
 
 
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:

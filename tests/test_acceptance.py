@@ -13,7 +13,6 @@ from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig
 from segadapt.gradcurves import KINDS, curve, find_global_min
 from segadapt.losses import (
-    LossConfig,
     adjusted_kl_loss,
     focal_decomposition_check,
     maximum_square_loss,
@@ -65,7 +64,7 @@ def _fd_against(build, z0, tol=1e-4):
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     rng = np.random.default_rng(100)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     failures = []
 
     def draw(c=None):

@@ -114,7 +114,20 @@ def test_generate_scene_rejects_unknown_domain():
     ("rare_class", dict(num_classes=3, rare_class=-1)),
     ("height", dict(height=40)),
     ("width", dict(width=70, cell=8)),
+    ("cell", dict(cell=0)),
+    ("cell", dict(cell=4)),
+    ("cell", dict(cell=5)),
+    ("cell", dict(cell=-16)),
+    ("height", dict(height=0)),
+    ("width", dict(width=-16)),
 ])
 def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
     with pytest.raises(ValueError, match=f"^{field} must"):
         default_spec(**overrides)
+
+
+def test_smallest_cell_generates_scenes():
+    spec = default_spec(cell=6, height=36, width=36)
+    scenes = generate_domain(spec, "source", 5, 0)
+    assert all(image.shape == (3, 36, 36) for image, _ in scenes)
+    assert any(labels.any() for _, labels in scenes)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segadapt.autodiff import Tensor
+from segadapt.config import TrainConfig
 from segadapt.losses import (
     IGNORE_LABEL,
-    LossConfig,
     adjusted_kl_loss,
     focal_decomposition_check,
     maximum_square_loss,
@@ -335,7 +335,7 @@ def _random_stage_inputs(rng, c=4, n=6):
 def test_stage1_lambda_zero_reduces_to_supervised_ce():
     rng = np.random.default_rng(9)
     p_s, y_s, p_hat, p_star, mask, *_ = _random_stage_inputs(rng)
-    cfg = LossConfig(lambda_u=0.0)
+    cfg = TrainConfig(lambda_u=0.0)
     parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
     assert parts.total.item() == pytest.approx(supervised_ce_loss(p_s, y_s).item(), abs=1e-12)
 
@@ -343,7 +343,7 @@ def test_stage1_lambda_zero_reduces_to_supervised_ce():
 def test_stage2_lambda_m_zero_reduces_to_stage1():
     rng = np.random.default_rng(10)
     p_s, y_s, p_hat, p_star, mask, p_m, y_m, w_m = _random_stage_inputs(rng)
-    cfg = LossConfig(lambda_m=0.0)
+    cfg = TrainConfig(lambda_m=0.0)
     s2 = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m, y_m, w_m, cfg)
     s1 = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
     assert s2.total.item() == pytest.approx(s1.total.item(), abs=1e-12)
@@ -352,7 +352,7 @@ def test_stage2_lambda_m_zero_reduces_to_stage1():
 def test_stage2_component_recomposition():
     rng = np.random.default_rng(11)
     p_s, y_s, p_hat, p_star, mask, p_m, y_m, w_m = _random_stage_inputs(rng)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m, y_m, w_m, cfg)
     recomposed = (parts.l_s.item() + cfg.lambda_u * parts.l_u.item()
                   + cfg.lambda_m * parts.l_m.item())

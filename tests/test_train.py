@@ -5,9 +5,8 @@ import pytest
 
 from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig, format_config, make_config, parse_config_file
-from segadapt.data import perturb, pixel_features
+from segadapt.data import NUM_FEATURES, perturb, pixel_features
 from segadapt.losses import (
-    LossConfig,
     StageLosses,
     adjusted_kl_loss,
     shannon_entropy_loss,
@@ -25,6 +24,7 @@ from segadapt.train import (
     run_pipeline,
     train_stage1,
     train_stage2,
+    write_iou_csv,
 )
 
 from _fd import rel_error
@@ -75,7 +75,7 @@ def test_config_round_trip_through_format(tmp_path):
 def test_model_prob_map_is_valid_distribution():
     rng = np.random.default_rng(0)
     model = PixelModel(num_classes=5, hidden=8, rng=rng)
-    feats = rng.random((40, model.num_features))
+    feats = rng.random((40, NUM_FEATURES))
     probs = model.prob_map(feats)
     assert probs.shape == (5, 40)
     assert np.allclose(probs.data.sum(axis=0), 1.0, atol=1e-10)
@@ -90,6 +90,16 @@ def test_model_save_load_round_trip(tmp_path):
     twin = load_model(path)
     image = rng.random((3, 8, 8))
     assert np.array_equal(model.predict_labels(image), twin.predict_labels(image))
+
+
+def test_load_model_reads_file_with_num_features_key(tmp_path):
+    # files saved before the feature count became a constant carry this key
+    model = PixelModel(num_classes=3, hidden=5, rng=np.random.default_rng(7))
+    path = tmp_path / "old.npz"
+    np.savez(path, num_classes=3, hidden=5, num_features=NUM_FEATURES, **model.state_dict())
+    twin = load_model(path)
+    for name, values in model.state_dict().items():
+        assert np.array_equal(twin.state_dict()[name], values)
 
 
 def test_model_clone_is_independent():
@@ -115,7 +125,7 @@ def test_optimizer_gradients_spot_finite_difference():
     feats_t = pixel_features(target[0][0])
     x_star, _ = perturb(target[0][0], np.random.default_rng(4), flip_prob=0.0)
     feats_star = pixel_features(x_star)
-    loss_cfg = LossConfig()
+    loss_cfg = TrainConfig()
     snapshot = Tensor(model.prob_map(feats_t).data.copy())
 
     def loss_value(mask):
@@ -270,6 +280,12 @@ def test_pipeline_outputs_and_determinism(tmp_path):
     assert "stage1_thresholds.csv" in files and "stage1_ious.csv" in files
     for name in files:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+def test_write_iou_csv_writes_nan_for_a_class_without_pixels(tmp_path):
+    path = tmp_path / "ious.csv"
+    write_iou_csv(path, np.array([0.5, np.nan, 0.25]), 0.375)
+    assert path.read_text() == "class_id,iou\n0,0.5\n1,nan\n2,0.25\nmean,0.375\n"
 
 
 def test_batch_pixel_subsampling_still_trains():
