@@ -1,8 +1,8 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Minimal reverse-mode automatic differentiation over dense float arrays.
 
-The engine is deliberately small: dense row-major storage, double precision,
-elementwise arithmetic with scalar broadcasting, a handful of nonlinearities,
-2-D matrix ops, softmax, masked reductions, and stop-gradient.  That is enough
+The engine is deliberately small: dense row-major storage, elementwise
+arithmetic with scalar broadcasting, a handful of nonlinearities, 2-D matrix
+ops, softmax, masked reductions, and stop-gradient.  That is enough
 to express every objective in this package and to train a small per-pixel
 classifier, while keeping the backward pass easy to audit.
 
@@ -15,6 +15,16 @@ flows through intermediate nodes live only for the duration of the pass, and
 an intermediate node's ``grad`` stays ``None``.  A backward pass owns its
 graph; independent graphs may be evaluated concurrently, a single graph is
 single-threaded.
+
+Precision: float64 by default, follows float32 inputs; scalar losses are
+float64.  A tensor keeps float32 data as float32 and stores everything else
+as float64.  Python and NumPy scalar operands (and 0-d arrays) take the
+dtype of the tensor they meet, so ``1.0 - p`` or ``p * np.float64(0.5)``
+stays float32 for a float32 ``p``.  ``sum()`` over all entries and
+``masked_mean`` accumulate and return float64, and their VJPs hand the
+input's dtype back, so the loss scalars and their recomposition keep double
+precision while the per-pixel work runs in the input's precision.  A leaf's
+``grad`` always has the leaf's dtype.
 """
 
 from __future__ import annotations
@@ -30,18 +40,24 @@ __all__ = [
 ]
 
 _SCALARS = (int, float, np.integer, np.floating)
+_FLOAT32 = np.dtype(np.float32)
 
 
 class ShapeMismatchError(ValueError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-def _as_array(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
+def _as_array(values, dtype=None) -> np.ndarray:
+    """``values`` as float32 if they are float32 (or ``dtype`` says so), else float64."""
+    if dtype is None:
+        dtype = getattr(values, "dtype", None)
+    return np.asarray(values, dtype=_FLOAT32 if dtype is _FLOAT32 else np.float64)
 
 
 class Tensor:
-    """Dense float64 array with optional gradient tracking.
+    """Dense array with optional gradient tracking.
+
+    float64 by default, follows float32 inputs; scalar losses are float64.
 
     ``data`` is treated as immutable once the tensor participates in a graph;
     only ``grad`` is written by backward passes (and ``data`` by an optimizer,
@@ -122,6 +138,8 @@ class Tensor:
             if g is None:
                 continue
             if not node._parents:
+                if g.dtype != node.data.dtype:
+                    g = g.astype(node.data.dtype)
                 node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, vjp in zip(node._parents, node._vjps):
@@ -137,7 +155,7 @@ class Tensor:
     # ----------------------------------------------------------- elementwise
 
     def __add__(self, other):
-        a, b = self, _ensure_tensor(other)
+        a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
         return _make(a.data + b.data, (a, b),
                      (lambda g: _fit(g, a.shape), lambda g: _fit(g, b.shape)))
@@ -145,16 +163,16 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self, _ensure_tensor(other)
+        a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
         return _make(a.data - b.data, (a, b),
                      (lambda g: _fit(g, a.shape), lambda g: _fit(-g, b.shape)))
 
     def __rsub__(self, other):
-        return _ensure_tensor(other).__sub__(self)
+        return _ensure_tensor(other, self).__sub__(self)
 
     def __mul__(self, other):
-        a, b = self, _ensure_tensor(other)
+        a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
         return _make(a.data * b.data, (a, b),
                      (lambda g: _fit(g * b.data, a.shape), lambda g: _fit(g * a.data, b.shape)))
@@ -162,7 +180,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self, _ensure_tensor(other)
+        a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = a.data / b.data
@@ -171,7 +189,7 @@ class Tensor:
                           lambda g: _fit(-g * a.data / (b.data * b.data), b.shape)))
 
     def __rtruediv__(self, other):
-        return _ensure_tensor(other).__truediv__(self)
+        return _ensure_tensor(other, self).__truediv__(self)
 
     def __neg__(self):
         return _make(-self.data, (self,), (lambda g: -g,))
@@ -215,6 +233,7 @@ class Tensor:
 
     def clamp(self, lo: float, hi: float):
         a = self
+        lo, hi = float(lo), float(hi)  # Python floats keep a float32 input float32
         out = np.clip(a.data, lo, hi)
         inside = (a.data > lo) & (a.data < hi)
         return _make(out, (a,), (lambda g: g * inside,))
@@ -222,7 +241,7 @@ class Tensor:
     # ---------------------------------------------------------- linear maps
 
     def __matmul__(self, other):
-        a, b = self, _ensure_tensor(other)
+        a, b = self, _ensure_tensor(other, self)
         if a.data.ndim != 2 or b.data.ndim != 2:
             raise ShapeMismatchError(
                 f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
@@ -240,10 +259,11 @@ class Tensor:
     # ------------------------------------------------------------ reductions
 
     def sum(self, axis: int | None = None):
+        """Sum over ``axis``, or over all entries into a float64 scalar."""
         a = self
         if axis is None:
-            return _make(np.array(a.data.sum()), (a,),
-                         (lambda g: np.broadcast_to(g, a.shape).copy(),))
+            return _make(np.array(a.data.sum(dtype=np.float64)), (a,),
+                         (lambda g: np.full(a.shape, g, dtype=a.data.dtype),))
         out = a.data.sum(axis=axis)
         return _make(out, (a,),
                      (lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),))
@@ -251,8 +271,9 @@ class Tensor:
     def masked_mean(self, mask):
         """Mean over entries selected by a boolean mask of the same shape.
 
-        An empty mask yields a constant 0 with zero gradient, so a step in
-        which no pixel clears its threshold contributes nothing.
+        The mean is accumulated and returned in float64.  An empty mask
+        yields a constant 0 with zero gradient, so a step in which no pixel
+        clears its threshold contributes nothing.
         """
         a = self
         sel = np.asarray(mask, dtype=bool)
@@ -262,8 +283,9 @@ class Tensor:
         count = int(sel.sum())
         if count == 0:
             return Tensor(0.0)
-        value = a.data[sel].mean()
-        return _make(np.array(value), (a,), (lambda g: g * sel / count,))
+        value = a.data[sel].mean(dtype=np.float64)
+        return _make(np.array(value), (a,),
+                     (lambda g: (g * sel / count).astype(a.data.dtype, copy=False),))
 
     def softmax(self, axis: int):
         a = self
@@ -310,16 +332,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def take_cols(x: Tensor, index) -> Tensor:
-    """Gather columns of a 2-D tensor; backward scatter-adds them back."""
+    """Gather columns of a 2-D tensor; backward scatters them back.
+
+    Columns picked more than once sum their gradients (``np.add.at``); an
+    index without repeats, such as a permutation or a prefix of one, takes
+    a plain scatter.
+    """
     x = _ensure_tensor(x)
     idx = np.asarray(index, dtype=np.intp)
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"take_cols requires a 2-D tensor, got {x.shape}")
     out = x.data[:, idx]
+    picked = np.zeros(x.shape[1], dtype=bool)
+    picked[idx] = True  # a negative index marks the same slot as its positive twin
+    repeats = int(picked.sum()) != idx.size
 
     def vjp(g):
         acc = np.zeros_like(x.data)
-        np.add.at(acc, (slice(None), idx), g)
+        if repeats:
+            np.add.at(acc, (slice(None), idx), g)
+        else:
+            acc[:, idx] = g
         return acc
 
     return _make(out, (x,), (vjp,))
@@ -328,11 +361,14 @@ def take_cols(x: Tensor, index) -> Tensor:
 # ------------------------------------------------------------------ helpers
 
 
-def _ensure_tensor(x) -> Tensor:
+def _ensure_tensor(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a tensor; a scalar or 0-d array meeting ``like`` takes its dtype."""
     if isinstance(x, Tensor):
         return x
-    if isinstance(x, _SCALARS) or isinstance(x, np.ndarray):
-        return Tensor(x)
+    if isinstance(x, _SCALARS):
+        return Tensor(x if like is None else _as_array(x, like.data.dtype))
+    if isinstance(x, np.ndarray):
+        return Tensor(x if like is None or x.ndim else _as_array(x, like.data.dtype))
     raise TypeError(f"cannot use {type(x).__name__} as a tensor operand")
 
 
@@ -354,9 +390,18 @@ def _fit(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjps = vjps
+    """The node of an op's result.
+
+    ``data`` comes from numpy arithmetic on float32/float64 operands, so it
+    needs no dtype conversion; skipping ``Tensor.__init__`` keeps the
+    per-node cost of one-pixel graphs low.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data)
+    out.grad = None
+    out.requires_grad, out._parents, out._vjps = False, (), ()
+    for p in parents:  # a plain loop is several times cheaper than any() over a generator
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._vjps = True, parents, vjps
+            break
     return out

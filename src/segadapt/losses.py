@@ -4,6 +4,8 @@ Every loss consumes class-major probability maps (Tensor of shape ``(C, N)``
 or ``(C, H, W)``) rather than logits; softmax belongs to the model.  Masks are
 plain boolean arrays over the pixel axes.  Probabilities entering a logarithm
 are clamped to ``[epsilon, 1]`` first, so hard pixels near 0 stay finite.
+The per-pixel terms run in the map's dtype (float64 or float32); each loss
+reduces them to a float64 scalar.
 
 The unsupervised focal loss couples two branches of the same model: the
 weak-branch distribution drives a masked Shannon entropy term, and its
@@ -62,8 +64,8 @@ def _check_pair(a: Tensor, b: Tensor) -> None:
         raise ValueError(f"probability maps disagree in shape: {a.shape} vs {b.shape}")
 
 
-def _one_hot(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot encoding (C, *pixels) plus the valid-pixel mask.
+def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """One-hot encoding (C, *pixels) in ``dtype`` plus the valid-pixel mask.
 
     IGNORE_LABEL rows are all-zero and excluded from the valid mask; any other
     out-of-range label is an error.
@@ -74,7 +76,7 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarr
     if np.any(bad):
         raise ValueError(
             f"labels outside [0, {num_classes}) and not IGNORE: {np.unique(labels[bad])}")
-    onehot = np.zeros((num_classes,) + labels.shape, dtype=np.float64)
+    onehot = np.zeros((num_classes,) + labels.shape, dtype=dtype)
     safe = np.where(valid, labels, 0)
     np.put_along_axis(onehot, safe[None], np.where(valid, 1.0, 0.0)[None], axis=0)
     return onehot, valid
@@ -119,7 +121,7 @@ def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
 def supervised_ce_loss(p: Tensor, labels, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-log p[label]``."""
     _check_probmap(p)
-    onehot, valid = _one_hot(labels, p.shape[0])
+    onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     per_pixel = -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
     return per_pixel.masked_mean(valid)
 
@@ -127,7 +129,7 @@ def supervised_ce_loss(p: Tensor, labels, epsilon: float = 1e-8) -> Tensor:
 def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
     _check_probmap(p)
-    onehot, valid = _one_hot(labels, p.shape[0])
+    onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     weighted_log = ((1.0 - p) ** gamma) * _clamped_log(p, epsilon)
     per_pixel = -(Tensor(onehot) * weighted_log).sum(axis=0)
     return per_pixel.masked_mean(valid)
@@ -167,7 +169,7 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
     drop out of both sums.  An all-IGNORE map yields a constant 0.
     """
     _check_probmap(p)
-    onehot, valid = _one_hot(labels, p.shape[0])
+    onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != valid.shape:
         raise ValueError(f"weight map shape {w.shape} does not match labels {valid.shape}")
@@ -176,7 +178,7 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
     if total == 0.0:
         return Tensor(0.0)
     per_pixel = -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
-    return (per_pixel * Tensor(w / total)).sum()
+    return (per_pixel * Tensor((w / total).astype(p.data.dtype, copy=False))).sum()
 
 
 def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,

@@ -8,6 +8,11 @@ and adds the weighted cross entropy on cross-domain mixed samples.
 
 All randomness is drawn from named substreams of the config seed, so a full
 run is reproducible bit for bit, including the CSV logs.
+
+Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
+model, the stages clone it, and every loop casts its features to the model's
+dtype.  The loss scalars are float64 (see ``segadapt.autodiff``), and
+evaluation and pseudo labels run in float64 (``PixelModel.predict_probs``).
 """
 
 from __future__ import annotations
@@ -107,14 +112,24 @@ def _descend(model: PixelModel, loss, lr: float, step: int, stage: str) -> None:
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
     for p in model.params:
-        p.data = p.data - lr * p.grad
+        p.data = p.data - p.data.dtype.type(lr) * p.grad
         p.zero_grad()
 
 
+def _features(model: PixelModel, image) -> np.ndarray:
+    """``pixel_features`` in the model's parameter dtype."""
+    return pixel_features(image).astype(model.dtype, copy=False)
+
+
 def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
-    """Supervised training on the source domain only."""
-    model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=_rng(cfg, _STREAM_MODEL_INIT))
-    feats = [pixel_features(img) for img, _ in source]
+    """Supervised training on the source domain only, in float32.
+
+    Single precision halves the cost of the per-pixel arithmetic; the loss
+    scalars stay float64 and evaluation runs in float64.
+    """
+    model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=_rng(cfg, _STREAM_MODEL_INIT),
+                       dtype=np.float32)
+    feats = [_features(model, img) for img, _ in source]
     flat_labels = [labels.ravel() for _, labels in source]
     rng = _rng(cfg, _STREAM_PRETRAIN)
     for step in range(cfg.pretrain_steps):
@@ -132,7 +147,7 @@ def _target_branches(model, feats_t, image_t, rng_perturb, cfg):
     x_star, flipped = perturb(image_t, rng_perturb, noise=cfg.perturb_noise,
                               brightness=cfg.perturb_brightness,
                               contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
-    p_star = model.prob_map(pixel_features(x_star))
+    p_star = model.prob_map(_features(model, x_star))
     if flipped:
         p_hat = take_cols(p_t, flip_permutation(cfg.height, cfg.width))
     else:
@@ -180,9 +195,9 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
     state = _threshold_state(cfg)
     log = TrainLog()
 
-    feats_s = [pixel_features(img) for img, _ in source]
+    feats_s = [_features(model, img) for img, _ in source]
     labels_s = [labels.ravel() for _, labels in source]
-    feats_t = [pixel_features(img) for img, _ in target]
+    feats_t = [_features(model, img) for img, _ in target]
 
     rng_batch = _rng(cfg, _STREAM_BATCH)
     if pseudo_model is not None:
@@ -219,7 +234,7 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
                 pseudo_cache[m_idx] = pseudo_labels(target[m_idx][0], pseudo_model)
             mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
                                pseudo_cache[m_idx], rng_paste, rng_mix)
-            p_m = model.prob_map(pixel_features(mixed.image))
+            p_m = model.prob_map(_features(model, mixed.image))
             parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
                                 mixed.labels.ravel(), mixed.weights.ravel(), cfg)
 

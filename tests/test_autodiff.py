@@ -231,6 +231,14 @@ def test_concat_and_take_cols_gradients():
     (y * Tensor(np.ones((2, 3)))).sum().backward()
     assert np.allclose(x.grad, np.ones((2, 3)))
 
+    # repeated columns (1 twice; 2 once directly and once as -1) accumulate
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    rep = take_cols(x, [1, 1, -1, 2, 0])
+    assert np.array_equal(rep.data, x.data[:, [1, 1, 2, 2, 0]])
+    w = np.arange(10.0).reshape(2, 5)
+    (rep * Tensor(w)).sum().backward()
+    assert np.array_equal(x.grad, np.stack([w[:, 4], w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]], axis=1))
+
 
 def test_linear_gradients():
     rng = np.random.default_rng(5)
@@ -264,10 +272,11 @@ def test_linear_shape_mismatch():
         linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
-@pytest.mark.parametrize("name", [
-    "add", "sub", "mul", "div", "log", "exp", "pow", "tanh",
-    "clamp", "softmax", "sum_axis", "masked_mean", "linear", "take_cols",
-])
+OP_NAMES = ["add", "sub", "mul", "div", "log", "exp", "pow", "tanh",
+            "clamp", "softmax", "sum_axis", "masked_mean", "linear", "take_cols"]
+
+
+@pytest.mark.parametrize("name", OP_NAMES)
 def test_every_op_gradient_vs_finite_differences(name):
     # Random inputs in [-2, 2] (shifted positive for log), eps=1e-5,
     # double precision; rel-err < 1e-4 overall, < 1e-6 for linear ops.
@@ -338,3 +347,91 @@ def test_every_op_gradient_vs_finite_differences(name):
         assert rel_error(leaf.grad[interior], fd[interior]) < tol
     else:
         assert rel_error(leaf.grad, fd) < tol
+
+
+# -------------------------------------------------------------------- dtypes
+
+
+def _f32(values):
+    return Tensor(np.asarray(values, dtype=np.float32))
+
+
+@pytest.mark.parametrize("name", OP_NAMES)
+def test_every_op_follows_float32_inputs(name):
+    # float32 in, float32 out and float32 back through every VJP; the
+    # masked mean is a loss scalar and returns float64
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    other = _f32(rng.uniform(0.5, 2.0, size=(3, 5)))
+    mask = np.arange(15).reshape(3, 5) % 3 != 0
+    ops = {
+        "add": lambda t: t + other,
+        "sub": lambda t: other - t,
+        "mul": lambda t: t * other,
+        "div": lambda t: t / other,
+        "log": lambda t: (t + 4.0).log(),
+        "exp": lambda t: t.exp(),
+        "pow": lambda t: (t + 4.0) ** 1.7,
+        "tanh": lambda t: t.tanh(),
+        "clamp": lambda t: t.clamp(-1.3, 1.3),
+        "softmax": lambda t: t.softmax(axis=0),
+        "sum_axis": lambda t: t.sum(axis=1),
+        "masked_mean": lambda t: t.masked_mean(mask),
+        "linear": lambda t: linear(t, _f32(rng.uniform(-1.0, 1.0, size=(5, 5))),
+                                   _f32(rng.uniform(-1.0, 1.0, size=5))),
+        "take_cols": lambda t: take_cols(t, [4, 0, 0, 2]),
+    }
+    leaf = Tensor(rng.uniform(-2.0, 2.0, size=(3, 5)).astype(np.float32), requires_grad=True)
+    out = ops[name](leaf)
+    assert out.data.dtype == (np.float64 if name == "masked_mean" else np.float32)
+    for parent, vjp in zip(out._parents, out._vjps):
+        assert vjp(np.ones_like(out.data)).dtype == parent.data.dtype
+    loss = out if out.size == 1 else (out * _f32(rng.uniform(-1.0, 1.0, out.shape))).sum()
+    loss.backward()
+    assert leaf.grad.dtype == np.float32
+    assert np.all(np.isfinite(leaf.grad)) and np.any(leaf.grad != 0.0)
+
+
+def test_tensor_keeps_float32_and_stores_everything_else_as_float64():
+    assert Tensor(np.zeros(2, dtype=np.float32)).data.dtype == np.float32
+    assert Tensor(np.float32(1.0)).data.dtype == np.float32
+    for values in ([1, 2], [1.0, 2.0], np.zeros(2, dtype=np.float16), 3, 0.5):
+        assert Tensor(values).data.dtype == np.float64
+
+
+@pytest.mark.parametrize("scalar", [2.0, 3, np.float64(2.0), np.array(2.0), np.float32(2.0)],
+                         ids=["float", "int", "np.float64", "0d-float64", "np.float32"])
+def test_scalar_operands_take_the_tensor_dtype(scalar):
+    for dtype in (np.float32, np.float64):
+        x = Tensor(np.array([0.25, 0.5], dtype=dtype), requires_grad=True)
+        for out in (x + scalar, scalar + x, x - scalar, scalar - x,
+                    x * scalar, scalar * x, x / scalar, scalar / x):
+            assert out.data.dtype == dtype
+        (x * scalar).sum().backward()
+        assert x.grad.dtype == dtype
+
+
+def test_sum_and_masked_mean_accumulate_in_float64():
+    values = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], dtype=np.float32)
+    mask = np.array([[True, False, True], [True, True, False]])
+    x = Tensor(values, requires_grad=True)
+    total = x.sum()
+    assert total.data.dtype == np.float64
+    assert total.item() == values.astype(np.float64).sum()
+    assert total._vjps[0](np.array(1.0)).dtype == np.float32
+    mean = x.masked_mean(mask)
+    assert mean.data.dtype == np.float64
+    assert mean.item() == values.astype(np.float64)[mask].mean()
+    assert mean._vjps[0](np.array(1.0)).dtype == np.float32
+    (total + mean).backward()
+    assert x.grad.dtype == np.float32
+    assert np.allclose(x.grad, 1.0 + mask / mask.sum())
+
+
+def test_leaf_gradient_keeps_the_leaf_dtype_in_a_mixed_graph():
+    x = Tensor(np.array([0.5, 1.5], dtype=np.float32), requires_grad=True)
+    y = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    out = x * y  # float64 operand promotes the product
+    assert out.data.dtype == np.float64
+    out.sum().backward()
+    assert x.grad.dtype == np.float32 and np.array_equal(x.grad, [2.0, 3.0])
+    assert y.grad.dtype == np.float64 and np.array_equal(y.grad, [0.5, 1.5])

@@ -102,6 +102,27 @@ def test_load_model_reads_file_with_num_features_key(tmp_path):
         assert np.array_equal(twin.state_dict()[name], values)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_load_and_clone_keep_the_parameter_dtype(tmp_path, dtype):
+    model = PixelModel(num_classes=3, hidden=4, rng=np.random.default_rng(8), dtype=dtype)
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    for twin in (load_model(path), model.clone()):
+        assert twin.dtype == dtype
+        for name, values in model.state_dict().items():
+            got = twin.state_dict()[name]
+            assert got.dtype == dtype and np.array_equal(got, values)
+
+
+def test_predict_probs_is_float64_for_either_parameter_dtype():
+    image = np.random.default_rng(9).random((3, 8, 8))
+    for dtype in (np.float32, np.float64):
+        model = PixelModel(num_classes=4, hidden=6, rng=np.random.default_rng(4), dtype=dtype)
+        probs = model.predict_probs(image)
+        assert probs.dtype == np.float64 and probs.shape == (4, 8, 8)
+        assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-12)
+
+
 def test_model_clone_is_independent():
     model = PixelModel(num_classes=3, hidden=4, rng=np.random.default_rng(2))
     twin = model.clone()
@@ -219,6 +240,53 @@ def test_stage2_runs_and_recomposes(small_run):
         assert abs(total - (l_s + cfg.lambda_u * l_u + cfg.lambda_m * l_m)) < 1e-12
     _, s2_miou = evaluate_miou(model2, target, cfg.num_classes)
     assert np.isfinite(s2_miou)
+
+
+def test_float32_stage1_step_keeps_float32():
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 4, "target_scenes": 4, "stage1_steps": 1})
+    source, target, _ = build_datasets(cfg)
+    model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(3),
+                       dtype=np.float32)
+    feats = [pixel_features(img).astype(np.float32) for img in
+             (source[0][0], target[0][0], perturb(target[0][0], np.random.default_rng(4))[0])]
+    p_hat = model.prob_map(feats[1])
+    conf, labs = confidence_and_argmax(p_hat.data)
+    mask = adaptive_mask(conf, labs, np.full(cfg.num_classes, np.median(conf)))
+    parts = stage1_loss(model.prob_map(feats[0]), source[0][1].ravel(), p_hat,
+                        model.prob_map(feats[2]), mask, cfg)
+    assert parts.total.data.dtype == np.float64
+    parts.total.backward()
+    for p in model.params:
+        assert p.grad.dtype == np.float32 and np.all(np.isfinite(p.grad))
+
+    stepped, log = train_stage1(cfg, datasets=(source, target), init_model=model)
+    assert stepped.dtype == np.float32 and len(log.metrics) == 1
+    for p, q in zip(stepped.params, model.params):
+        assert p.data.dtype == p.grad.dtype == np.float32
+        assert not np.array_equal(p.data, q.data)
+
+
+def test_float32_stage1_with_saturated_probabilities_stays_finite():
+    # Large logits make float32 probabilities exactly 1 (and 0); with
+    # gamma < 1 the focal factor (1 - p)**gamma has an infinite slope there.
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 4, "target_scenes": 4,
+                         "stage1_steps": 20, "gamma": 0.5})
+    source, target, _ = build_datasets(cfg)
+    model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6),
+                       dtype=np.float32)
+    model.w2.data *= 100.0
+    saturated = sum(int((model.prob_map(pixel_features(img).astype(np.float32)).data == 1.0).sum())
+                    for img, _ in target)
+    assert saturated > 0
+    trained, log = train_stage1(cfg, datasets=(source, target), init_model=model)
+    assert all(np.isfinite(row[4]) for row in log.metrics)
+    assert all(p.data.dtype == np.float32 and np.all(np.isfinite(p.data))
+               for p in trained.params)
+
+
+def test_pretrain_source_trains_in_float32():
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 4, "pretrain_steps": 3})
+    assert pretrain_source(cfg, build_datasets(cfg)[0]).dtype == np.float32
 
 
 def test_divergence_detection_raises():
