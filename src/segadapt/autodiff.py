@@ -1,10 +1,11 @@
 """Minimal reverse-mode automatic differentiation over dense float arrays.
 
 The engine is deliberately small: dense row-major storage, elementwise
-arithmetic with scalar broadcasting, a handful of nonlinearities, 2-D matrix
-ops, softmax, masked reductions, and stop-gradient.  That is enough
-to express every objective in this package and to train a small per-pixel
-classifier, while keeping the backward pass easy to audit.
+arithmetic (add, subtract, negate, multiply, power) with scalar
+broadcasting, log, tanh and clamp, a fused affine layer, transpose, column
+gather and concat, softmax, sums, masked means, and stop-gradient.  That is
+what the losses and the per-pixel classifier in this package use, and it
+keeps the backward pass easy to audit.
 
 Graphs are built implicitly: each operation records its parents and one
 vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
@@ -179,18 +180,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        a, b = self, _ensure_tensor(other, self)
-        _check_elementwise(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a.data / b.data
-            return _make(out, (a, b),
-                         (lambda g: _fit(g / b.data, a.shape),
-                          lambda g: _fit(-g * a.data / (b.data * b.data), b.shape)))
-
-    def __rtruediv__(self, other):
-        return _ensure_tensor(other, self).__truediv__(self)
-
     def __neg__(self):
         return _make(-self.data, (self,), (lambda g: -g,))
 
@@ -221,11 +210,6 @@ class Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
 
-    def exp(self):
-        a = self
-        out = np.exp(a.data)
-        return _make(out, (a,), (lambda g: g * out,))
-
     def tanh(self):
         a = self
         out = np.tanh(a.data)
@@ -239,17 +223,6 @@ class Tensor:
         return _make(out, (a,), (lambda g: g * inside,))
 
     # ---------------------------------------------------------- linear maps
-
-    def __matmul__(self, other):
-        a, b = self, _ensure_tensor(other, self)
-        if a.data.ndim != 2 or b.data.ndim != 2:
-            raise ShapeMismatchError(
-                f"matmul requires 2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatchError(
-                f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-        return _make(a.data @ b.data, (a, b),
-                     (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
     def transpose(self):
         if self.data.ndim != 2:

@@ -27,6 +27,7 @@ from segadapt.losses import (
     shannon_entropy_loss,
     unsupervised_focal_loss,
 )
+from segadapt.netpbm import write_csv
 
 __all__ = [
     "KINDS",
@@ -131,8 +132,5 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
 
 def emit_csv(curves, path) -> None:
     """Write curves as ``loss_kind,p,loss,grad`` rows, 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("loss_kind,p,loss,grad\n")
-        for curve_obj in curves:
-            for s in curve_obj.samples:
-                fh.write(f"{curve_obj.kind},{s.p:.17g},{s.loss:.17g},{s.grad:.17g}\n")
+    write_csv(path, "loss_kind,p,loss,grad",
+              ((c.kind, s.p, s.loss, s.grad) for c in curves for s in c.samples))

@@ -4,8 +4,9 @@ Every loss consumes class-major probability maps (Tensor of shape ``(C, N)``
 or ``(C, H, W)``) rather than logits; softmax belongs to the model.  Masks are
 plain boolean arrays over the pixel axes.  Probabilities entering a logarithm
 are clamped to ``[epsilon, 1]`` first, so hard pixels near 0 stay finite.
-The per-pixel terms run in the map's dtype (float64 or float32); each loss
-reduces them to a float64 scalar.
+Each loss is a per-pixel term (the private ``_*_terms`` helpers) and its
+reduction, mostly ``masked_mean``.  The terms run in the map's dtype
+(float64 or float32); each loss reduces them to a float64 scalar.
 
 The unsupervised focal loss couples two branches of the same model: the
 weak-branch distribution drives a masked Shannon entropy term, and its
@@ -54,6 +55,27 @@ def _clamped_log(p: Tensor, epsilon: float) -> Tensor:
     return p.clamp(epsilon, 1.0).log()
 
 
+def _entropy_terms(p: Tensor, epsilon: float) -> Tensor:
+    return -(p * _clamped_log(p, epsilon)).sum(axis=0)
+
+
+def _focal_log(p: Tensor, gamma: float, epsilon: float) -> Tensor:
+    """``(1 - p)**gamma * log p``, the damped log-likelihood of the focal losses."""
+    return ((1.0 - p) ** gamma) * _clamped_log(p, epsilon)
+
+
+def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: float) -> Tensor:
+    return (p_hat * (_clamped_log(p_hat, epsilon) - _focal_log(p_star, gamma, epsilon))).sum(axis=0)
+
+
+def _cross_entropy_terms(p: Tensor, onehot: np.ndarray, epsilon: float) -> Tensor:
+    return -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
+
+
+def _max_square_terms(p: Tensor) -> Tensor:
+    return -(p * p).sum(axis=0) * 0.5
+
+
 def _check_probmap(p: Tensor) -> None:
     if p.data.ndim < 2:
         raise ValueError(f"probability map needs a class axis plus pixel axes, got shape {p.shape}")
@@ -85,8 +107,7 @@ def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, n
 def shannon_entropy_loss(p: Tensor, mask, epsilon: float = 1e-8) -> Tensor:
     """Masked mean over pixels of the per-pixel Shannon entropy of ``p``."""
     _check_probmap(p)
-    per_pixel = -(p * _clamped_log(p, epsilon)).sum(axis=0)
-    return per_pixel.masked_mean(mask)
+    return _entropy_terms(p, epsilon).masked_mean(mask)
 
 
 def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
@@ -100,9 +121,7 @@ def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
     _check_pair(p_hat, p_star)
     if p_hat.requires_grad:
         raise ValueError("p_hat must be detached: it serves as the soft pseudo label")
-    weighted_log = ((1.0 - p_star) ** gamma) * _clamped_log(p_star, epsilon)
-    per_pixel = (p_hat * (_clamped_log(p_hat, epsilon) - weighted_log)).sum(axis=0)
-    return per_pixel.masked_mean(mask)
+    return _adjusted_kl_terms(p_hat, p_star, gamma, epsilon).masked_mean(mask)
 
 
 def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
@@ -122,17 +141,14 @@ def supervised_ce_loss(p: Tensor, labels, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-log p[label]``."""
     _check_probmap(p)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
-    per_pixel = -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
-    return per_pixel.masked_mean(valid)
+    return _cross_entropy_terms(p, onehot, epsilon).masked_mean(valid)
 
 
 def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
     _check_probmap(p)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
-    weighted_log = ((1.0 - p) ** gamma) * _clamped_log(p, epsilon)
-    per_pixel = -(Tensor(onehot) * weighted_log).sum(axis=0)
-    return per_pixel.masked_mean(valid)
+    return (-(Tensor(onehot) * _focal_log(p, gamma, epsilon)).sum(axis=0)).masked_mean(valid)
 
 
 def focal_decomposition_check(y_onehot, p: Tensor, gamma: float,
@@ -158,8 +174,7 @@ def focal_decomposition_check(y_onehot, p: Tensor, gamma: float,
 def maximum_square_loss(p: Tensor, mask) -> Tensor:
     """Masked mean of ``-sum_c p**2 / 2`` (square-sharpening baseline)."""
     _check_probmap(p)
-    per_pixel = -(p * p).sum(axis=0) * 0.5
-    return per_pixel.masked_mean(mask)
+    return _max_square_terms(p).masked_mean(mask)
 
 
 def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
@@ -177,8 +192,8 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
     total = w.sum()
     if total == 0.0:
         return Tensor(0.0)
-    per_pixel = -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
-    return (per_pixel * Tensor((w / total).astype(p.data.dtype, copy=False))).sum()
+    share = Tensor((w / total).astype(p.data.dtype, copy=False))
+    return (_cross_entropy_terms(p, onehot, epsilon) * share).sum()
 
 
 def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,

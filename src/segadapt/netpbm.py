@@ -1,10 +1,18 @@
-"""Binary PPM (P6) and PGM (P5) writers/readers, 8-bit, for sample dumps."""
+"""File writers: CSV for logs and curves; 8-bit binary PPM (P6)/PGM (P5), with readers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_ppm", "write_pgm", "read_ppm", "read_pgm"]
+__all__ = ["write_csv", "write_ppm", "write_pgm", "read_ppm", "read_pgm"]
+
+
+def write_csv(path, header: str, rows) -> None:
+    """``header`` then one line per row; floats get 17 significant digits (``nan`` stays)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _scaled_u8(values: np.ndarray) -> np.ndarray:

@@ -54,9 +54,9 @@ class ThresholdState:
 
 
 def confidence_and_argmax(probs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel max probability and its class; ties break to the lowest index."""
-    values = np.asarray(getattr(probs, "data", probs), dtype=np.float64)
-    return values.max(axis=0), values.argmax(axis=0)
+    """Per-pixel max probability (as float64) and its class; ties go to the lowest class."""
+    values = np.asarray(getattr(probs, "data", probs))
+    return values.max(axis=0).astype(np.float64, copy=False), values.argmax(axis=0)
 
 
 def per_sample_threshold(confidence: np.ndarray, labels: np.ndarray,

@@ -35,6 +35,7 @@ from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
 from segadapt.model import PixelModel
+from segadapt.netpbm import write_csv
 from segadapt.threshold import ThresholdState, adaptive_mask, confidence_and_argmax, update
 
 __all__ = [
@@ -255,24 +256,16 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
 # ----------------------------------------------------------------- CSV output
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """``header`` then one line per row; floats get 17 significant digits (``nan`` stays)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
 def write_metrics_csv(path, rows) -> None:
-    _write_csv(path, "step,L_s,L_u,L_m,total", rows)
+    write_csv(path, "step,L_s,L_u,L_m,total", rows)
 
 
 def write_thresholds_csv(path, rows) -> None:
-    _write_csv(path, "step,class_id,alpha", rows)
+    write_csv(path, "step,class_id,alpha", rows)
 
 
 def write_iou_csv(path, iou: np.ndarray, miou: float) -> None:
-    _write_csv(path, "class_id,iou", [*enumerate(iou), ("mean", miou)])
+    write_csv(path, "class_id,iou", [*enumerate(iou), ("mean", miou)])
 
 
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:

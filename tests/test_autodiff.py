@@ -27,12 +27,6 @@ def test_mul_by_zero_scalar_annihilates_value_and_gradient():
     assert np.all(x.grad == 0.0)
 
 
-def test_div_by_zero_follows_ieee():
-    with np.errstate(divide="ignore"):
-        out = Tensor([1.0]) / Tensor([0.0])
-    assert np.isinf(out.data[0])
-
-
 def test_shape_mismatch_error_names_both_shapes():
     with pytest.raises(ShapeMismatchError) as exc:
         Tensor(np.zeros((2, 3))) + Tensor(np.zeros((3, 2)))
@@ -48,7 +42,6 @@ def test_scalar_broadcast_both_sides():
 
 def test_log_exp_pow_unit_values():
     assert np.allclose(Tensor([1.0]).log().data, [0.0])
-    assert np.allclose(Tensor([0.0]).exp().data, [1.0])
     assert np.allclose((Tensor([0.5]) ** 2) .data, [0.25])
 
 
@@ -57,37 +50,6 @@ def test_pow_zero_exponent_is_constant_one():
     out = x ** 0
     assert np.allclose(out.data, 1.0)
     assert not out.requires_grad
-
-
-def test_matmul_identity_and_small_product():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = Tensor(np.eye(2)) @ Tensor(x)
-    assert np.allclose(out.data, x)
-    prod = Tensor([[1.0, 2.0]]) @ Tensor([[3.0], [4.0]])
-    assert np.allclose(prod.data, [[11.0]])
-
-
-def test_matmul_inner_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    a0 = rng.uniform(-2, 2, size=(3, 4))
-    b0 = rng.uniform(-2, 2, size=(4, 2))
-
-    def loss_of_a(flat):
-        return float(((flat.reshape(3, 4) @ b0) ** 2).sum())
-
-    def loss_of_b(flat):
-        return float(((a0 @ flat.reshape(4, 2)) ** 2).sum())
-
-    a = Tensor(a0, requires_grad=True)
-    b = Tensor(b0, requires_grad=True)
-    ((a @ b) * (a @ b)).sum().backward()
-    assert rel_error(a.grad, fd_gradient(loss_of_a, a0.ravel()).reshape(3, 4)) < 1e-6
-    assert rel_error(b.grad, fd_gradient(loss_of_b, b0.ravel()).reshape(4, 2)) < 1e-6
 
 
 def test_softmax_is_valid_distribution():
@@ -272,8 +234,8 @@ def test_linear_shape_mismatch():
         linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
-OP_NAMES = ["add", "sub", "mul", "div", "log", "exp", "pow", "tanh",
-            "clamp", "softmax", "sum_axis", "masked_mean", "linear", "take_cols"]
+OP_NAMES = ["add", "sub", "mul", "neg", "log", "pow", "tanh", "clamp", "softmax",
+            "sum_axis", "masked_mean", "linear", "transpose", "take_cols"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -287,7 +249,7 @@ def test_every_op_gradient_vs_finite_differences(name):
     cols = rng.integers(0, 5, size=5)
     weight = rng.uniform(-1.0, 1.0, size=(5, 5))
     bias = rng.uniform(-1.0, 1.0, size=5)
-    is_linear = name in ("add", "sub", "sum_axis", "linear", "take_cols")
+    is_linear = name in ("add", "sub", "neg", "sum_axis", "linear", "transpose", "take_cols")
 
     def build(values):
         t = Tensor(values, requires_grad=True)
@@ -297,12 +259,10 @@ def test_every_op_gradient_vs_finite_differences(name):
             out = Tensor(other) - t
         elif name == "mul":
             out = t * Tensor(other)
-        elif name == "div":
-            out = t / Tensor(other)
+        elif name == "neg":
+            out = -t
         elif name == "log":
             out = (t + 4.0).log()
-        elif name == "exp":
-            out = t.exp()
         elif name == "pow":
             out = (t + 4.0) ** 1.7
         elif name == "tanh":
@@ -317,6 +277,8 @@ def test_every_op_gradient_vs_finite_differences(name):
             return t, t.masked_mean(mask)
         elif name == "linear":
             out = linear(t, Tensor(weight), Tensor(bias))
+        elif name == "transpose":
+            out = t.transpose()
         elif name == "take_cols":
             out = take_cols(t, cols)
         else:
@@ -367,9 +329,8 @@ def test_every_op_follows_float32_inputs(name):
         "add": lambda t: t + other,
         "sub": lambda t: other - t,
         "mul": lambda t: t * other,
-        "div": lambda t: t / other,
+        "neg": lambda t: -t,
         "log": lambda t: (t + 4.0).log(),
-        "exp": lambda t: t.exp(),
         "pow": lambda t: (t + 4.0) ** 1.7,
         "tanh": lambda t: t.tanh(),
         "clamp": lambda t: t.clamp(-1.3, 1.3),
@@ -378,6 +339,7 @@ def test_every_op_follows_float32_inputs(name):
         "masked_mean": lambda t: t.masked_mean(mask),
         "linear": lambda t: linear(t, _f32(rng.uniform(-1.0, 1.0, size=(5, 5))),
                                    _f32(rng.uniform(-1.0, 1.0, size=5))),
+        "transpose": lambda t: t.transpose(),
         "take_cols": lambda t: take_cols(t, [4, 0, 0, 2]),
     }
     leaf = Tensor(rng.uniform(-2.0, 2.0, size=(3, 5)).astype(np.float32), requires_grad=True)
@@ -404,7 +366,7 @@ def test_scalar_operands_take_the_tensor_dtype(scalar):
     for dtype in (np.float32, np.float64):
         x = Tensor(np.array([0.25, 0.5], dtype=dtype), requires_grad=True)
         for out in (x + scalar, scalar + x, x - scalar, scalar - x,
-                    x * scalar, scalar * x, x / scalar, scalar / x):
+                    x * scalar, scalar * x):
             assert out.data.dtype == dtype
         (x * scalar).sum().backward()
         assert x.grad.dtype == dtype

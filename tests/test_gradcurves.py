@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from segadapt.autodiff import Tensor, concat
 from segadapt.gradcurves import KINDS, Curve, curve, emit_csv, find_global_min
+from segadapt.losses import maximum_square_loss, shannon_entropy_loss, unsupervised_focal_loss
 
 
 def closed_form_focal(p, a=0.6, gamma=2.0):
@@ -135,3 +137,33 @@ def test_csv_gradients_match_column_finite_differences():
         grad = np.array([s.grad for s in c.samples])
         fd = (loss[2:] - loss[:-2]) / (p[2:] - p[:-2])
         assert np.max(np.abs(fd - grad[1:-1])) < 1e-6
+
+
+def one_pixel_graph(kind, p, p_hat, gamma):
+    """Loss and gradient at ``p`` from a one-pixel graph through the public loss."""
+    leaf = Tensor(np.array([[p]]), requires_grad=True)
+    dist = concat([leaf, 1.0 - leaf], axis=0)
+    full = np.array([True])
+    if kind == "shannon":
+        loss = shannon_entropy_loss(dist, full)
+    elif kind == "maxsquare":
+        loss = maximum_square_loss(dist, full)
+    else:
+        estimate = Tensor(np.array([[p_hat], [1.0 - p_hat]]))
+        loss = unsupervised_focal_loss(estimate, dist, full, gamma)
+    loss.backward()
+    return loss.item(), float(leaf.grad[0, 0])
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("kind", KINDS)
+def test_curve_points_equal_one_pixel_graphs(kind, gamma):
+    p_hat = 0.7
+    c = curve(kind, p_hat=p_hat, gamma=gamma)
+    ps = np.array([s.p for s in c.samples])
+    near = int(np.argmin(np.abs(ps - p_hat)))
+    half = int(np.flatnonzero(ps == 0.5)[0])
+    for i in (0, len(ps) - 1, half, near - 1, near, near + 1):
+        s = c.samples[i]
+        assert (s.loss, s.grad) == one_pixel_graph(kind, s.p, p_hat, gamma), s.p
+

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from segadapt.config import TrainConfig
 from segadapt.losses import IGNORE_LABEL
 from segadapt.mixing import (
     boundary_weights,
@@ -255,6 +258,35 @@ def test_boundary_weights_values_are_one_or_two():
     rng = np.random.default_rng(16)
     weights = boundary_weights(rng.random((20, 20)) < 0.3)
     assert set(np.unique(weights)).issubset({1.0, 2.0})
+
+
+CELL = TrainConfig().cell
+# sides from 1 to past three cells, so most are not multiples of ``cell``
+SIDES = st.integers(1, 3 * CELL + 5)
+
+
+@st.composite
+def blocky_masks(draw):
+    """Blocks of up to ``cell`` pixels, like the class regions of a mix mask, cropped."""
+    coarse = draw(arrays(np.bool_, st.tuples(st.integers(1, 5), st.integers(1, 5))))
+    block = draw(st.integers(1, CELL))
+    mask = coarse.repeat(block, axis=0).repeat(block, axis=1)
+    return mask[:draw(st.integers(1, mask.shape[0])), :draw(st.integers(1, mask.shape[1]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.one_of(arrays(np.bool_, st.tuples(SIDES, SIDES)), blocky_masks()))
+def test_boundary_weights_band_holds_every_boundary_pixel(mask):
+    weights = boundary_weights(mask)
+    assert weights.shape == mask.shape
+    assert np.all((weights == 1.0) | (weights == 2.0))
+    # a pixel with a 4-neighbour of the other mask value lies in the weight-2 band
+    h, w = mask.shape
+    padded = np.pad(mask, 1, mode="edge")  # the edge copy never differs, so it adds no boundary
+    boundary = np.zeros_like(mask)
+    for dy, dx in ((0, 1), (2, 1), (1, 0), (1, 2)):
+        boundary |= padded[dy:dy + h, dx:dx + w] != mask
+    assert np.all(weights[boundary] == 2.0)
 
 
 def test_full_augmentation_reproducible_under_seed():

@@ -27,6 +27,12 @@ def test_confidence_tie_breaks_to_lowest_class():
     conf, lab = confidence_and_argmax(np.array([[0.5], [0.5]]))
     assert conf[0] == pytest.approx(0.5)
     assert lab[0] == 0
+    # a float32 map: max and argmax in float32, the max returned as float64
+    p32 = np.array([[0.4, 0.1], [0.4, 0.7], [0.2, 0.2]], dtype=np.float32)
+    conf, lab = confidence_and_argmax(p32)
+    assert conf.dtype == np.float64
+    assert np.array_equal(conf, p32.astype(np.float64).max(axis=0))
+    assert lab.tolist() == [0, 1]
 
 
 def test_confidence_one_hot():
