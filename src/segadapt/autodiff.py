@@ -3,9 +3,10 @@
 The engine is deliberately small: dense row-major storage, elementwise
 arithmetic (add, subtract, negate, multiply, power) with scalar
 broadcasting, log, tanh and clamp, a fused affine layer, transpose, column
-gather and concat, softmax, sums, masked means, and stop-gradient.  That is
-what the losses and the per-pixel classifier in this package use, and it
-keeps the backward pass easy to audit.
+gather and concat, softmax, sums, masked means, and stop-gradient, plus the
+classifier's whole forward (``mlp_softmax``) as one node.  That is what the
+losses and the per-pixel classifier in this package use, and it keeps the
+backward pass easy to audit.
 
 Graphs are built implicitly: each operation records its parents and one
 vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
@@ -37,6 +38,7 @@ __all__ = [
     "ShapeMismatchError",
     "concat",
     "linear",
+    "mlp_softmax",
     "take_cols",
 ]
 
@@ -296,12 +298,52 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` as one node: (M, K) @ (K, N) plus a length-N bias."""
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeMismatchError(
-            f"linear expects (M, K), (K, N) and (N,), got {x.shape}, {w.shape} and {b.shape}")
+    _check_linear("linear", x.shape, w.shape, b.shape)
     return _make(x.data @ w.data + b.data[None, :], (x, w, b),
                  (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
+
+
+def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Class-major softmax of a tanh MLP, (N, K) rows to a (C, N) map, as one node.
+
+    The value and every gradient equal, bit for bit, those of the chain
+    ``linear(linear(x, w1, b1).tanh(), w2, b2).transpose().softmax(axis=0)``:
+    the same numpy expressions in the same order on the same memory layouts.
+    The forward works in place in three arrays (hidden, logits, map) where the
+    chain allocates about nine, and allocating a large array costs more than
+    the arithmetic that fills it.  The backward derives the softmax and tanh
+    flows once and hands each parent its share.  The four parameters share
+    one dtype, so the in-place bias adds keep the chain's result dtype.
+    """
+    x, w1, b1, w2, b2 = parents = tuple(_ensure_tensor(t) for t in (x, w1, b1, w2, b2))
+    _check_linear("mlp_softmax layer 1", x.shape, w1.shape, b1.shape)
+    _check_linear("mlp_softmax layer 2", (x.shape[0], w1.shape[1]), w2.shape, b2.shape)
+    if len({p.data.dtype for p in parents[1:]}) != 1:
+        raise TypeError("mlp_softmax expects parameters of one dtype, got "
+                        + ", ".join(str(p.data.dtype) for p in parents[1:]))
+    h = x.data @ w1.data
+    h += b1.data
+    np.tanh(h, out=h)
+    z = h @ w2.data
+    z += b2.data
+    out = z.T.copy()
+    out -= out.max(axis=0, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+
+    needs_hidden_flow = x.requires_grad or w1.requires_grad or b1.requires_grad
+
+    def flows(g):
+        g_z = (out * (g - (g * out).sum(axis=0, keepdims=True))).T  # (N, C) view, as the chain's
+        g_a = (g_z @ w2.data.T) * (1.0 - h * h) if needs_hidden_flow else None
+        return g_z, g_a
+
+    parts = (lambda g_z, g_a: g_a @ w1.data.T,
+             lambda g_z, g_a: x.data.T @ g_a,
+             lambda g_z, g_a: g_a.sum(axis=0),
+             lambda g_z, g_a: h.T @ g_z,
+             lambda g_z, g_a: g_z.sum(axis=0))
+    return _make(out, parents, _shared_vjps(parents, flows, parts))
 
 
 def take_cols(x: Tensor, index) -> Tensor:
@@ -343,6 +385,36 @@ def _ensure_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, np.ndarray):
         return Tensor(x if like is None or x.ndim else _as_array(x, like.data.dtype))
     raise TypeError(f"cannot use {type(x).__name__} as a tensor operand")
+
+
+def _check_linear(op: str, x: tuple, w: tuple, b: tuple) -> None:
+    if len(x) != 2 or len(w) != 2 or len(b) != 1 or x[1] != w[0] or w[1] != b[0]:
+        raise ShapeMismatchError(f"{op} expects (M, K), (K, N) and (N,), got {x}, {w} and {b}")
+
+
+def _shared_vjps(parents: tuple[Tensor, ...], flows, parts) -> tuple:
+    """One VJP per parent, all drawing on a single ``flows(g)`` per flow ``g``.
+
+    ``flows(g)`` returns the intermediate flows every parent's contribution
+    needs, and ``parts[i](*flows(g))`` is parent ``i``'s contribution.
+    ``Tensor.backward`` calls a node's VJPs back to back with one flow, so
+    the first call computes the shared flows and the call for the last parent
+    that requires grad drops them; a call with another flow recomputes.
+    """
+    last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
+    held: list = [None, ()]  # the flow and what flows() made of it
+
+    def make(i):
+        def vjp(g):
+            if held[0] is not g:
+                held[:] = g, flows(g)
+            contribution = parts[i](*held[1])
+            if i == last:
+                held[:] = None, ()
+            return contribution
+        return vjp
+
+    return tuple(make(i) for i in range(len(parents)))
 
 
 def _check_elementwise(a: Tensor, b: Tensor) -> None:

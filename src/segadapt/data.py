@@ -150,13 +150,23 @@ def generate_domain(spec: SceneSpec, domain: str, n: int, seed) -> list:
 
 
 def pixel_features(image: np.ndarray) -> np.ndarray:
-    """Per-pixel feature rows (N, 9): color plus local 3x3 mean and variance."""
+    """Per-pixel feature rows (N, 9): color plus local 3x3 mean and variance.
+
+    Every scene of every step goes through here, so the three feature
+    planes are written in place into one (9, H, W) buffer: on these sizes
+    a fresh array costs about as much as the arithmetic that fills it.
+    """
     image = np.asarray(image, dtype=np.float64)
-    mean = uniform_filter(image, size=(1, 3, 3), mode="nearest")
-    mean_sq = uniform_filter(image * image, size=(1, 3, 3), mode="nearest")
-    var = np.maximum(mean_sq - mean * mean, 0.0)
-    feats = np.concatenate([image, mean, var], axis=0)
-    return feats.reshape(feats.shape[0], -1).T.copy()
+    c = image.shape[0]
+    feats = np.empty((3 * c,) + image.shape[1:])
+    feats[:c] = image
+    mean, var = feats[c:2 * c], feats[2 * c:]
+    uniform_filter(image, size=(1, 3, 3), output=mean, mode="nearest")
+    np.multiply(image, image, out=var)
+    uniform_filter(var, size=(1, 3, 3), output=var, mode="nearest")  # the mean square
+    var -= mean * mean
+    np.maximum(var, 0.0, out=var)
+    return feats.reshape(3 * c, -1).T.copy()
 
 
 def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,

@@ -1,11 +1,19 @@
-"""Per-pixel dense classifier: a small tanh MLP over local color statistics."""
+"""Per-pixel dense classifier: a small tanh MLP over local color statistics.
+
+The whole forward, features to class-major probabilities, is one fused
+autodiff node (``autodiff.mlp_softmax``) that works in place.  Every
+evaluation, pseudo-label map and training step runs it on thousands of
+pixels, and at these sizes a fresh array costs about as much as the
+arithmetic that fills it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from segadapt.autodiff import Tensor, linear
+from segadapt.autodiff import Tensor, mlp_softmax
 from segadapt.data import NUM_FEATURES, pixel_features
+from segadapt.threshold import confidence_and_argmax
 
 __all__ = ["PixelModel", "save_model", "load_model"]
 
@@ -42,14 +50,13 @@ class PixelModel:
         """The parameters' dtype."""
         return self.w1.data.dtype
 
-    def logits(self, features) -> Tensor:
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        hidden = linear(x, self.w1, self.b1).tanh()
-        return linear(hidden, self.w2, self.b2)
-
     def prob_map(self, features) -> Tensor:
-        """Class-major probability map (C, N), differentiable."""
-        return self.logits(features).transpose().softmax(axis=0)
+        """Class-major probability map (C, N), differentiable.
+
+        One ``mlp_softmax`` node, whose forward runs in place, serves
+        training and inference alike.
+        """
+        return mlp_softmax(features, *self.params)
 
     def predict_probs(self, image: np.ndarray) -> np.ndarray:
         """(C, H, W) float64 probabilities for a (3, H, W) image, values only.
@@ -62,7 +69,8 @@ class PixelModel:
         return probs.data.reshape(self.num_classes, h, w)
 
     def predict_labels(self, image: np.ndarray) -> np.ndarray:
-        return self.predict_probs(image).argmax(axis=0)
+        """(H, W) argmax labels, by the argmax that training and pseudo labels use."""
+        return confidence_and_argmax(self.predict_probs(image))[1]
 
     def state_dict(self) -> dict:
         return {"w1": self.w1.data.copy(), "b1": self.b1.data.copy(),

@@ -54,9 +54,18 @@ class ThresholdState:
 
 
 def confidence_and_argmax(probs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel max probability (as float64) and its class; ties go to the lowest class."""
+    """Per-pixel max probability (as float64) and its class; ties go to the lowest class.
+
+    The labels equal ``values.argmax(axis=0)``, the first NaN included, but
+    come from a scan of the class rows against the max: on a class-major
+    map that is a few row compares, where ``argmax`` walks a strided axis.
+    """
     values = np.asarray(getattr(probs, "data", probs))
-    return values.max(axis=0).astype(np.float64, copy=False), values.argmax(axis=0)
+    top = values.max(axis=0)
+    labels = np.full(top.shape, values.shape[0] - 1, dtype=np.intp)
+    for c in range(values.shape[0] - 2, -1, -1):
+        labels[(values[c] == top) | np.isnan(values[c])] = c
+    return top.astype(np.float64, copy=False), labels
 
 
 def per_sample_threshold(confidence: np.ndarray, labels: np.ndarray,

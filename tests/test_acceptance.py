@@ -3,12 +3,19 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines live.
 """
 
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segadapt
 from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig
 from segadapt.gradcurves import KINDS, curve, find_global_min
@@ -375,8 +382,40 @@ def test_criterion_6_mixing_exactness():
 ACCEPTANCE_CONFIG = TrainConfig(seed=0, eval_every=0)
 
 
+SECOND_RUN_TIMEOUT_S = 600.0
+_SECOND_RUN = ("import json, sys; from segadapt.config import TrainConfig; "
+               "from segadapt.train import run_pipeline; "
+               "run_pipeline(TrainConfig(**json.loads(sys.argv[1])), out_dir=sys.argv[2])")
+
+
 @pytest.fixture(scope="module")
-def pipeline_run(tmp_path_factory):
+def second_pipeline_run(tmp_path_factory):
+    """Criterion 8's second run of the acceptance config, in a fresh interpreter.
+
+    It starts before criterion 7's in-process run and runs alongside it, so
+    the two runs overlap, and the byte comparison also spans two processes.
+    Yields the process, its output directory and the file holding its stderr.
+    """
+    out = tmp_path_factory.mktemp("pipeline_b")
+    stderr_path = tmp_path_factory.mktemp("pipeline_b_log") / "stderr.txt"
+    env = dict(os.environ)
+    src = str(Path(segadapt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(stderr_path, "w") as stderr:
+        child = subprocess.Popen(
+            [sys.executable, "-c", _SECOND_RUN,
+             json.dumps(dataclasses.asdict(ACCEPTANCE_CONFIG)), str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+    try:
+        yield child, out, stderr_path
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory, second_pipeline_run):
     out = tmp_path_factory.mktemp("pipeline_a")
     started = time.perf_counter()
     summary = run_pipeline(ACCEPTANCE_CONFIG, out_dir=out)
@@ -401,10 +440,14 @@ def test_criterion_7_desk_scale_adaptation(pipeline_run):
                    f"rare IoU {rare1:.3f} -> {rare2:.3f}, {elapsed:.0f}s")
 
 
-def test_criterion_8_determinism(pipeline_run, tmp_path_factory):
+def test_criterion_8_determinism(pipeline_run, second_pipeline_run):
     _, first_dir, _ = pipeline_run
-    second_dir = tmp_path_factory.mktemp("pipeline_b")
-    run_pipeline(ACCEPTANCE_CONFIG, out_dir=second_dir)
+    child, second_dir, stderr_path = second_pipeline_run
+    try:
+        code = child.wait(timeout=SECOND_RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        code = f"no exit after {SECOND_RUN_TIMEOUT_S:.0f} s"
+    assert code == 0, f"second run: {code}\n{stderr_path.read_text()}"
     names = sorted(p.name for p in first_dir.iterdir() if p.suffix == ".csv")
     identical = all((first_dir / n).read_bytes() == (second_dir / n).read_bytes()
                     for n in names)

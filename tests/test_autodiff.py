@@ -8,6 +8,7 @@ from segadapt.autodiff import (
     ShapeMismatchError,
     concat,
     linear,
+    mlp_softmax,
     take_cols,
 )
 
@@ -234,8 +235,73 @@ def test_linear_shape_mismatch():
         linear(Tensor(np.zeros((4, 3))), Tensor(np.zeros((2, 2))), Tensor(np.zeros(2)))
 
 
+def _mlp_chain(x, w1, b1, w2, b2):
+    """The engine-op chain that ``mlp_softmax`` fuses."""
+    return linear(linear(x, w1, b1).tanh(), w2, b2).transpose().softmax(axis=0)
+
+
+@pytest.mark.parametrize("feature_dtype, param_dtype", [
+    (np.float32, np.float32),  # training
+    (np.float64, np.float64),  # the finite-difference tests' models
+    (np.float64, np.float32),  # evaluation: float64 features, float32 weights
+])
+def test_mlp_softmax_equals_the_op_chain_bit_for_bit(feature_dtype, param_dtype):
+    rng = np.random.default_rng(21)
+    params0 = [rng.normal(size=shape) for shape in ((9, 16), (16,), (16, 5), (5,))]
+    feats0 = [rng.random((300, 9)) for _ in range(3)]
+    consumer = rng.random((5, 300))
+    got = {}
+    for op in (_mlp_chain, mlp_softmax):
+        params = [Tensor(p.astype(param_dtype), requires_grad=True) for p in params0]
+        feats = [Tensor(f.astype(feature_dtype), requires_grad=i == 0)
+                 for i, f in enumerate(feats0)]
+        maps = [op(f, *params) for f in feats]
+        # maps[0] feeds two consumers; three maps share the parameters
+        loss = (maps[0].log().sum() + (maps[0] * maps[1]).sum()
+                + (maps[2] * Tensor(consumer)).sum())
+        grads = []
+        for _ in range(2):  # a second pass over the same graph accumulates
+            loss.backward()
+            grads.append([t.grad.tobytes() for t in params + feats[:1]])
+        got[op] = [m.data.tobytes() for m in maps], grads
+    assert maps[0].data.dtype == np.result_type(feature_dtype, param_dtype)
+    assert got[mlp_softmax][0] == got[_mlp_chain][0]
+    assert got[mlp_softmax][1] == got[_mlp_chain][1]
+    assert got[mlp_softmax][1][0] != got[mlp_softmax][1][1]
+
+
+def test_mlp_softmax_gradients_match_finite_differences():
+    # float64; the features are a Tensor that requires grad, like the params
+    rng = np.random.default_rng(22)
+    values = [rng.uniform(-1.0, 1.0, size=shape) for shape in ((6, 4), (4, 3), (3,), (3, 5), (5,))]
+    weights = rng.uniform(-1.0, 1.0, size=(5, 6))
+    leaves = [Tensor(v, requires_grad=True) for v in values]
+    (mlp_softmax(*leaves).log() * Tensor(weights)).sum().backward()
+    for k, leaf in enumerate(leaves):
+        def loss(flat, k=k):
+            args = [Tensor(flat.reshape(v.shape)) if i == k else Tensor(v)
+                    for i, v in enumerate(values)]
+            return (mlp_softmax(*args).log() * Tensor(weights)).sum().item()
+
+        fd = fd_gradient(loss, values[k].ravel()).reshape(values[k].shape)
+        assert rel_error(leaf.grad, fd) < 1e-6, k
+
+
+def test_mlp_softmax_rejects_mismatched_shapes_and_mixed_parameter_dtypes():
+    x = Tensor(np.zeros((4, 3)))
+    w1, b1 = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+    w2, b2 = Tensor(np.zeros((2, 5))), Tensor(np.zeros(5))
+    assert mlp_softmax(x, w1, b1, w2, b2).shape == (5, 4)
+    with pytest.raises(ShapeMismatchError, match="layer 1"):
+        mlp_softmax(Tensor(np.zeros((4, 2))), w1, b1, w2, b2)
+    with pytest.raises(ShapeMismatchError, match="layer 2"):
+        mlp_softmax(x, w1, b1, Tensor(np.zeros((3, 5))), b2)
+    with pytest.raises(TypeError, match="float32"):
+        mlp_softmax(x, w1, b1, _f32(np.zeros((2, 5))), b2)
+
+
 OP_NAMES = ["add", "sub", "mul", "neg", "log", "pow", "tanh", "clamp", "softmax",
-            "sum_axis", "masked_mean", "linear", "transpose", "take_cols"]
+            "sum_axis", "masked_mean", "linear", "transpose", "take_cols", "mlp_softmax"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -281,6 +347,8 @@ def test_every_op_gradient_vs_finite_differences(name):
             out = t.transpose()
         elif name == "take_cols":
             out = take_cols(t, cols)
+        elif name == "mlp_softmax":
+            out = mlp_softmax(t, Tensor(weight), Tensor(bias), Tensor(weight), Tensor(bias))
         else:
             raise AssertionError(name)
         return t, out
@@ -341,6 +409,9 @@ def test_every_op_follows_float32_inputs(name):
                                    _f32(rng.uniform(-1.0, 1.0, size=5))),
         "transpose": lambda t: t.transpose(),
         "take_cols": lambda t: take_cols(t, [4, 0, 0, 2]),
+        "mlp_softmax": lambda t: mlp_softmax(
+            t, _f32(rng.uniform(-1.0, 1.0, size=(5, 4))), _f32(rng.uniform(-1.0, 1.0, size=4)),
+            _f32(rng.uniform(-1.0, 1.0, size=(4, 3))), _f32(rng.uniform(-1.0, 1.0, size=3))),
     }
     leaf = Tensor(rng.uniform(-2.0, 2.0, size=(3, 5)).astype(np.float32), requires_grad=True)
     out = ops[name](leaf)

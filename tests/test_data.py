@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.ndimage import uniform_filter
 
 from segadapt.config import TrainConfig
 from segadapt.data import (
@@ -66,6 +68,33 @@ def test_pixel_features_shape_and_local_stats():
     assert np.allclose(feats[:, 0], 1.0)   # red channel
     assert np.allclose(feats[:, 3], 1.0)   # local mean of a constant plane
     assert np.allclose(feats[:, 6:], 0.0)  # variance of a constant image
+
+
+def _allocating_pixel_features(image):
+    """The allocating expression ``pixel_features`` replaced, kept as the reference."""
+    image = np.asarray(image, dtype=np.float64)
+    mean = uniform_filter(image, size=(1, 3, 3), mode="nearest")
+    mean_sq = uniform_filter(image * image, size=(1, 3, 3), mode="nearest")
+    var = np.maximum(mean_sq - mean * mean, 0.0)
+    feats = np.concatenate([image, mean, var], axis=0)
+    return feats.reshape(feats.shape[0], -1).T.copy()
+
+
+@settings(max_examples=150, deadline=None)
+@given(height=st.integers(1, 70), width=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float64, np.float32]), snap=st.sampled_from([0.0, 0.2, 1.0]))
+def test_pixel_features_is_byte_identical_to_the_allocating_expression(height, width, seed,
+                                                                       dtype, snap):
+    # sides are mostly not multiples of cell; ``snap`` of the values are
+    # exactly 0 or 1, as clipping leaves them in generated scenes
+    rng = np.random.default_rng(seed)
+    image = rng.random((3, height, width))
+    snapped = rng.random(image.shape) < snap
+    image[snapped] = rng.random(int(snapped.sum())) < 0.5
+    image = image.astype(dtype)
+    feats = pixel_features(image)
+    assert feats.shape == (height * width, 9) and feats.flags.c_contiguous
+    assert feats.tobytes() == _allocating_pixel_features(image).tobytes()
 
 
 def test_perturb_zero_magnitude_is_identity():

@@ -40,6 +40,27 @@ def test_confidence_one_hot():
     assert conf[0] == pytest.approx(1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(classes=st.integers(2, 5), spatial=st.one_of(st.tuples(st.integers(1, 300)),
+                                                     st.tuples(st.integers(1, 20), st.integers(1, 20))),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1),
+       tie_frac=st.sampled_from([0.0, 0.3, 1.0]), nan_frac=st.sampled_from([0.0, 0.0, 0.05, 0.5]))
+def test_confidence_and_argmax_equals_numpy_argmax(classes, spatial, dtype, seed, tie_frac, nan_frac):
+    # (C, N) and (C, H, W) maps with forced ties (a class copies another's
+    # value, or every class holds the same one) and NaN entries
+    rng = np.random.default_rng(seed)
+    values = rng.random((classes,) + spatial).astype(dtype)
+    for c in range(1, classes):
+        ties = rng.random(spatial) < tie_frac
+        values[c][ties] = values[rng.integers(0, c)][ties]
+    values[rng.random(values.shape) < nan_frac] = np.nan
+    conf, labels = confidence_and_argmax(values)
+    assert labels.dtype == np.intp
+    assert np.array_equal(labels, values.argmax(axis=0))
+    assert conf.dtype == np.float64
+    assert np.array_equal(conf, values.max(axis=0).astype(np.float64), equal_nan=True)
+
+
 def test_per_sample_threshold_index_formula():
     # 10 confidences, alpha=0.8, b=0.8, d=8:
     # factor = 0.8 * exp(-1.6) ~= 0.16152, index floor(1.6152) = 1,
