@@ -6,7 +6,8 @@ broadcasting, log, tanh and clamp, a fused affine layer, transpose, column
 gather and concat, softmax, sums, masked means, and stop-gradient, plus the
 classifier's whole forward (``mlp_softmax``) as one node.  That is what the
 losses and the per-pixel classifier in this package use, and it keeps the
-backward pass easy to audit.
+backward pass easy to audit.  ``make_node`` is the one constructor of a graph
+node; ``segadapt.losses`` builds its fused per-pixel loss terms with it.
 
 Graphs are built implicitly: each operation records its parents and one
 vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
@@ -38,6 +39,7 @@ __all__ = [
     "ShapeMismatchError",
     "concat",
     "linear",
+    "make_node",
     "mlp_softmax",
     "take_cols",
 ]
@@ -160,16 +162,16 @@ class Tensor:
     def __add__(self, other):
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
-        return _make(a.data + b.data, (a, b),
-                     (lambda g: _fit(g, a.shape), lambda g: _fit(g, b.shape)))
+        return make_node(a.data + b.data, (a, b),
+                         (lambda g: _fit(g, a.shape), lambda g: _fit(g, b.shape)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
-        return _make(a.data - b.data, (a, b),
-                     (lambda g: _fit(g, a.shape), lambda g: _fit(-g, b.shape)))
+        return make_node(a.data - b.data, (a, b),
+                         (lambda g: _fit(g, a.shape), lambda g: _fit(-g, b.shape)))
 
     def __rsub__(self, other):
         return _ensure_tensor(other, self).__sub__(self)
@@ -177,13 +179,14 @@ class Tensor:
     def __mul__(self, other):
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
-        return _make(a.data * b.data, (a, b),
-                     (lambda g: _fit(g * b.data, a.shape), lambda g: _fit(g * a.data, b.shape)))
+        return make_node(a.data * b.data, (a, b),
+                         (lambda g: _fit(g * b.data, a.shape),
+                          lambda g: _fit(g * a.data, b.shape)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return _make(-self.data, (self,), (lambda g: -g,))
+        return make_node(-self.data, (self,), (lambda g: -g,))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, _SCALARS):
@@ -203,33 +206,33 @@ class Tensor:
                 with np.errstate(divide="ignore", invalid="ignore"):
                     return np.where(g == 0.0, g, g * gamma * a.data ** (gamma - 1.0))
 
-            return _make(out, (a,), (vjp,))
+            return make_node(out, (a,), (vjp,))
 
     # --------------------------------------------------------- nonlinearity
 
     def log(self):
         a = self
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _make(np.log(a.data), (a,), (lambda g: g / a.data,))
+            return make_node(np.log(a.data), (a,), (lambda g: g / a.data,))
 
     def tanh(self):
         a = self
         out = np.tanh(a.data)
-        return _make(out, (a,), (lambda g: g * (1.0 - out * out),))
+        return make_node(out, (a,), (lambda g: g * (1.0 - out * out),))
 
     def clamp(self, lo: float, hi: float):
         a = self
         lo, hi = float(lo), float(hi)  # Python floats keep a float32 input float32
         out = np.clip(a.data, lo, hi)
         inside = (a.data > lo) & (a.data < hi)
-        return _make(out, (a,), (lambda g: g * inside,))
+        return make_node(out, (a,), (lambda g: g * inside,))
 
     # ---------------------------------------------------------- linear maps
 
     def transpose(self):
         if self.data.ndim != 2:
             raise ShapeMismatchError(f"transpose requires a 2-D tensor, got {self.shape}")
-        return _make(self.data.T.copy(), (self,), (lambda g: g.T,))
+        return make_node(self.data.T.copy(), (self,), (lambda g: g.T,))
 
     # ------------------------------------------------------------ reductions
 
@@ -237,11 +240,11 @@ class Tensor:
         """Sum over ``axis``, or over all entries into a float64 scalar."""
         a = self
         if axis is None:
-            return _make(np.array(a.data.sum(dtype=np.float64)), (a,),
-                         (lambda g: np.full(a.shape, g, dtype=a.data.dtype),))
+            return make_node(np.array(a.data.sum(dtype=np.float64)), (a,),
+                             (lambda g: np.full(a.shape, g, dtype=a.data.dtype),))
         out = a.data.sum(axis=axis)
-        return _make(out, (a,),
-                     (lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),))
+        return make_node(out, (a,),
+                         (lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),))
 
     def masked_mean(self, mask):
         """Mean over entries selected by a boolean mask of the same shape.
@@ -259,8 +262,8 @@ class Tensor:
         if count == 0:
             return Tensor(0.0)
         value = a.data[sel].mean(dtype=np.float64)
-        return _make(np.array(value), (a,),
-                     (lambda g: (g * sel / count).astype(a.data.dtype, copy=False),))
+        return make_node(np.array(value), (a,),
+                         (lambda g: (g * sel / count).astype(a.data.dtype, copy=False),))
 
     def softmax(self, axis: int):
         a = self
@@ -271,7 +274,7 @@ class Tensor:
         def vjp(g):
             return out * (g - (g * out).sum(axis=axis, keepdims=True))
 
-        return _make(out, (a,), (vjp,))
+        return make_node(out, (a,), (vjp,))
 
 
 # ----------------------------------------------------------------- free ops
@@ -292,15 +295,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
         index = tuple(index)
         return lambda g: g[index]
 
-    return _make(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
+    return make_node(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine layer ``x @ w + b`` as one node: (M, K) @ (K, N) plus a length-N bias."""
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
     _check_linear("linear", x.shape, w.shape, b.shape)
-    return _make(x.data @ w.data + b.data[None, :], (x, w, b),
-                 (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
+    return make_node(x.data @ w.data + b.data[None, :], (x, w, b),
+                     (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
 
 
 def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -343,7 +346,7 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
              lambda g_z, g_a: g_a.sum(axis=0),
              lambda g_z, g_a: h.T @ g_z,
              lambda g_z, g_a: g_z.sum(axis=0))
-    return _make(out, parents, _shared_vjps(parents, flows, parts))
+    return make_node(out, parents, _shared_vjps(parents, flows, parts))
 
 
 def take_cols(x: Tensor, index) -> Tensor:
@@ -370,7 +373,7 @@ def take_cols(x: Tensor, index) -> Tensor:
             acc[:, idx] = g
         return acc
 
-    return _make(out, (x,), (vjp,))
+    return make_node(out, (x,), (vjp,))
 
 
 # ------------------------------------------------------------------ helpers
@@ -434,11 +437,15 @@ def _fit(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(g.sum()).reshape(shape)
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
-    """The node of an op's result.
+def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
+    """The node of an op's result: ``data`` plus one VJP per parent.
 
-    ``data`` comes from numpy arithmetic on float32/float64 operands, so it
-    needs no dtype conversion; skipping ``Tensor.__init__`` keeps the
+    Every op here builds its node with it, and so does a fused op defined
+    elsewhere (the loss terms in ``segadapt.losses``).  ``vjps[i](g)`` maps
+    the flow ``g`` (shaped like ``data``) to parent ``i``'s contribution,
+    shaped like that parent; it is called only for parents that require
+    grad.  ``data`` comes from numpy arithmetic on float32/float64 operands,
+    so it needs no dtype conversion; skipping ``Tensor.__init__`` keeps the
     per-node cost of one-pixel graphs low.
     """
     out = Tensor.__new__(Tensor)

@@ -61,6 +61,15 @@ class TrainConfig:
     # logging
     eval_every: int = 200
 
+    def __post_init__(self):
+        # the loss terms clamp probabilities to [epsilon, 1] before a log and
+        # raise 1 - p to the power gamma; outside these ranges they give NaN
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        for name in ("gamma", "lambda_u", "lambda_m"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 

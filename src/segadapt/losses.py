@@ -8,6 +8,16 @@ Each loss is a per-pixel term (the private ``_*_terms`` helpers) and its
 reduction, mostly ``masked_mean``.  The terms run in the map's dtype
 (float64 or float32); each loss reduces them to a float64 scalar.
 
+Each term is one autodiff node, built with ``autodiff.make_node``, where a
+chain of engine ops (clamp, log, pow, multiply, subtract, negate, class sum)
+would take five to eleven.  Its forward computes the per-pixel values from
+the map's array at once; its VJP runs that chain's numpy expressions in the
+chain's order, so values and gradients equal the chain's bit for bit.
+``supervised_focal_loss`` stays a chain of engine ops on purpose:
+``focal_decomposition_check`` compares it with Shannon entropy plus adjusted
+KL, and the check means something only while the two are computed
+independently.
+
 The unsupervised focal loss couples two branches of the same model: the
 weak-branch distribution drives a masked Shannon entropy term, and its
 detached copy serves as the soft target of an adjusted KL divergence whose
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from segadapt.autodiff import Tensor
+from segadapt.autodiff import Tensor, make_node
 from segadapt.config import TrainConfig
 
 IGNORE_LABEL = 255
@@ -51,29 +61,79 @@ class StageLosses:
     l_m: Tensor | None = None
 
 
-def _clamped_log(p: Tensor, epsilon: float) -> Tensor:
-    return p.clamp(epsilon, 1.0).log()
+def _clamped_log(a: np.ndarray, epsilon: float):
+    """``a`` clamped to ``[epsilon, 1]``, where the clamp passes gradient, and the clamp's log.
+
+    The values of ``Tensor.clamp`` followed by ``Tensor.log``: a maximum then
+    a minimum give ``np.clip``'s values, NaN included, without its call
+    overhead, which dominates on one-pixel maps.
+    """
+    epsilon = float(epsilon)  # a Python float keeps a float32 map float32
+    clamped = np.minimum(np.maximum(a, epsilon), 1.0)
+    return clamped, (a > epsilon) & (a < 1.0), np.log(clamped)
 
 
 def _entropy_terms(p: Tensor, epsilon: float) -> Tensor:
-    return -(p * _clamped_log(p, epsilon)).sum(axis=0)
+    """``-sum_c p log p`` per pixel."""
+    a = p.data
+    clamped, inside, log = _clamped_log(a, epsilon)
 
+    def vjp(g):
+        g = -g
+        return g * log + g * a / clamped * inside
 
-def _focal_log(p: Tensor, gamma: float, epsilon: float) -> Tensor:
-    """``(1 - p)**gamma * log p``, the damped log-likelihood of the focal losses."""
-    return ((1.0 - p) ** gamma) * _clamped_log(p, epsilon)
+    return make_node(-(a * log).sum(axis=0), (p,), (vjp,))
 
 
 def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: float) -> Tensor:
-    return (p_hat * (_clamped_log(p_hat, epsilon) - _focal_log(p_star, gamma, epsilon))).sum(axis=0)
+    """``sum_c p_hat (log p_hat - (1 - p_star)**gamma log p_star)`` per pixel.
+
+    ``p_hat`` is a constant: gradient flows into ``p_star`` only.
+    """
+    h, a = p_hat.data, p_star.data
+    log_h = _clamped_log(h, epsilon)[2]
+    clamped, inside, log = _clamped_log(a, epsilon)
+    gamma = float(gamma)
+    if gamma == 0.0:
+        # (1 - p)**0 is the constant 1 with no gradient, as in Tensor.__pow__,
+        # and 1 * log p is log p to the bit
+        base = damp = None
+        focal_log = log
+    else:
+        base = 1.0 - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            damp = base ** gamma
+        focal_log = damp * log
+
+    def vjp(g):
+        g_focal = -(g * h)
+        if damp is None:
+            return g_focal / clamped * inside
+        g_damp = g_focal * log
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the pow VJP: a zero flow stays zero where base**(gamma - 1) is infinite
+            g_base = np.where(g_damp == 0.0, g_damp, g_damp * gamma * base ** (gamma - 1.0))
+        return -g_base + g_focal * damp / clamped * inside
+
+    return make_node((h * (log_h - focal_log)).sum(axis=0), (p_star,), (vjp,))
 
 
 def _cross_entropy_terms(p: Tensor, onehot: np.ndarray, epsilon: float) -> Tensor:
-    return -(Tensor(onehot) * _clamped_log(p, epsilon)).sum(axis=0)
+    """``-sum_c onehot log p`` per pixel."""
+    clamped, inside, log = _clamped_log(p.data, epsilon)
+    return make_node(-(onehot * log).sum(axis=0), (p,),
+                     (lambda g: -g * onehot / clamped * inside,))
 
 
 def _max_square_terms(p: Tensor) -> Tensor:
-    return -(p * p).sum(axis=0) * 0.5
+    """``-sum_c p**2 / 2`` per pixel."""
+    a = p.data
+
+    def vjp(g):
+        g_a = -(g * 0.5) * a
+        return g_a + g_a  # p * p has p as both factors
+
+    return make_node(-(a * a).sum(axis=0) * 0.5, (p,), (vjp,))
 
 
 def _check_probmap(p: Tensor) -> None:
@@ -98,10 +158,8 @@ def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, n
     if np.any(bad):
         raise ValueError(
             f"labels outside [0, {num_classes}) and not IGNORE: {np.unique(labels[bad])}")
-    onehot = np.zeros((num_classes,) + labels.shape, dtype=dtype)
-    safe = np.where(valid, labels, 0)
-    np.put_along_axis(onehot, safe[None], np.where(valid, 1.0, 0.0)[None], axis=0)
-    return onehot, valid
+    classes = np.arange(num_classes).reshape((num_classes,) + (1,) * labels.ndim)
+    return ((labels == classes) & valid).astype(dtype), valid
 
 
 def shannon_entropy_loss(p: Tensor, mask, epsilon: float = 1e-8) -> Tensor:
@@ -148,7 +206,8 @@ def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
     _check_probmap(p)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
-    return (-(Tensor(onehot) * _focal_log(p, gamma, epsilon)).sum(axis=0)).masked_mean(valid)
+    focal_log = ((1.0 - p) ** gamma) * p.clamp(epsilon, 1.0).log()
+    return (-(Tensor(onehot) * focal_log).sum(axis=0)).masked_mean(valid)
 
 
 def focal_decomposition_check(y_onehot, p: Tensor, gamma: float,

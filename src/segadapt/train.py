@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from segadapt.autodiff import take_cols
-from segadapt.config import TrainConfig
+from segadapt.config import TrainConfig, format_config
 from segadapt.data import (
     flip_permutation,
     generate_domain,
@@ -272,7 +272,8 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
     """Source-only baseline, stage one, stage two, with full evaluation.
 
     Returns a summary dict; when ``out_dir`` is given, writes the metrics,
-    threshold, and IoU CSVs there (deterministic bytes under a fixed seed).
+    threshold, and IoU CSVs there (deterministic bytes under a fixed seed),
+    plus ``config.txt``, the config in the format ``make_config`` reads.
     """
     source, target, _ = build_datasets(cfg)
     datasets = (source, target)
@@ -292,6 +293,7 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
+        (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
         write_metrics_csv(out / "stage1_metrics.csv", log1.metrics)
         write_thresholds_csv(out / "stage1_thresholds.csv", log1.thresholds)
         write_iou_csv(out / "stage1_ious.csv", s1_iou, s1_miou)

@@ -73,7 +73,7 @@ def test_training_cli_end_to_end(tmp_path, capsys):
     for name in ("source_model.npz", "stage1_model.npz", "stage2_model.npz",
                  "baseline_ious.csv", "stage1_metrics.csv", "stage1_thresholds.csv",
                  "stage1_ious.csv", "stage2_metrics.csv", "stage2_thresholds.csv",
-                 "stage2_ious.csv"):
+                 "stage2_ious.csv", "config.txt"):
         assert (run_dir / name).exists()
     with open(run_dir / "stage1_metrics.csv") as fh:
         rows = list(csv.DictReader(fh))

@@ -4,11 +4,17 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig
 from segadapt.losses import (
     IGNORE_LABEL,
+    _adjusted_kl_terms,
+    _cross_entropy_terms,
+    _entropy_terms,
+    _max_square_terms,
+    _one_hot,
     adjusted_kl_loss,
     focal_decomposition_check,
     maximum_square_loss,
@@ -361,9 +367,13 @@ def test_stage2_component_recomposition():
 
 # ------------------------------------------------- gradients through softmax
 
-@pytest.mark.parametrize("kind", ["shannon", "kl", "focal", "ce", "focal_sup", "square"])
+@pytest.mark.parametrize("kind", ["shannon", "kl", "focal", "ce", "focal_sup", "square",
+                                  "kl_gamma_0", "kl_gamma_0.5", "focal_gamma_0.5",
+                                  "focal_sup_gamma_0.5"])
 def test_loss_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(zlib.crc32(kind.encode()))  # same inputs in every interpreter
+    loss_kind, _, gamma = kind.partition("_gamma_")
+    gamma = float(gamma or 2.0)
     c, n = 4, 5
     z0 = rng.normal(size=(c, n))
     aux = rng.normal(size=(c, n))
@@ -376,18 +386,18 @@ def test_loss_gradients_match_finite_differences(kind):
         z = Tensor(flat.reshape(c, n), requires_grad=True)
         p = z.softmax(axis=0)
         p_aux = Tensor(aux).softmax(axis=0)
-        if kind == "shannon":
+        if loss_kind == "shannon":
             loss = shannon_entropy_loss(p, mask)
-        elif kind == "kl":
-            loss = adjusted_kl_loss(p_aux, p, mask, gamma=2.0)
-        elif kind == "focal":
+        elif loss_kind == "kl":
+            loss = adjusted_kl_loss(p_aux, p, mask, gamma)
+        elif loss_kind == "focal":
             # FD on the perturbed branch: the weak branch is held fixed, so
             # the stop-gradient inside the loss does not bias the check.
-            loss = unsupervised_focal_loss(p_aux, p, mask, gamma=2.0)
-        elif kind == "ce":
+            loss = unsupervised_focal_loss(p_aux, p, mask, gamma)
+        elif loss_kind == "ce":
             loss = supervised_ce_loss(p, labels)
-        elif kind == "focal_sup":
-            loss = supervised_focal_loss(p, labels, gamma=2.0)
+        elif loss_kind == "focal_sup":
+            loss = supervised_focal_loss(p, labels, gamma)
         else:
             loss = maximum_square_loss(p, mask)
         return z, loss
@@ -396,6 +406,107 @@ def test_loss_gradients_match_finite_differences(kind):
     loss.backward()
     fd = fd_gradient(lambda flat: compute(flat)[1].item(), z0.ravel())
     assert rel_error(z.grad, fd.reshape(c, n)) < 1e-4
+
+
+# ------------------------------------- fused terms against their op chains
+
+def _chain_log(p):
+    return p.clamp(1e-8, 1.0).log()
+
+
+# Each per-pixel term is one autodiff node; these engine-op chains are what
+# it fuses, kept here as its reference.  Arguments: the map under test (a
+# leaf), a constant map (the adjusted KL's soft pseudo label), a one-hot
+# label map and gamma.
+FUSED_AND_CHAIN = {
+    "entropy": (
+        lambda p, q, y, gamma: _entropy_terms(p, 1e-8),
+        lambda p, q, y, gamma: -(p * _chain_log(p)).sum(axis=0)),
+    "adjusted_kl": (
+        lambda p, q, y, gamma: _adjusted_kl_terms(q, p, gamma, 1e-8),
+        lambda p, q, y, gamma: (q * (_chain_log(q) - ((1.0 - p) ** gamma) * _chain_log(p))).sum(axis=0)),
+    "cross_entropy": (
+        lambda p, q, y, gamma: _cross_entropy_terms(p, y, 1e-8),
+        lambda p, q, y, gamma: -(Tensor(y) * _chain_log(p)).sum(axis=0)),
+    "max_square": (
+        lambda p, q, y, gamma: _max_square_terms(p),
+        lambda p, q, y, gamma: -(p * p).sum(axis=0) * 0.5),
+}
+
+# probabilities of exactly 0 or 1 as well as interior values
+MAP_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# gamma at 0 (a constant damping factor), in (0, 1) and at or above 1
+TERM_GAMMAS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        st.floats(1.0, 4.0))
+
+
+@pytest.mark.parametrize("kind", sorted(FUSED_AND_CHAIN))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), gamma=TERM_GAMMAS, dtype=st.sampled_from([np.float32, np.float64]))
+def test_fused_terms_equal_the_op_chain_bit_for_bit(kind, data, gamma, dtype):
+    c, n = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 70))
+    p0, q0 = (data.draw(arrays(np.float64, (c, n), elements=MAP_ENTRIES)).astype(dtype)
+              for _ in range(2))
+    labels = data.draw(arrays(np.int64, n, elements=st.sampled_from([*range(c), IGNORE_LABEL])))
+    onehot = _one_hot(labels, c, dtype)[0]
+    mask = data.draw(st.one_of(st.just(np.zeros(n, dtype=bool)), st.just(np.ones(n, dtype=bool)),
+                               arrays(bool, n)))
+    got = []
+    for build in FUSED_AND_CHAIN[kind]:
+        leaf = Tensor(p0, requires_grad=True)
+        terms = build(leaf, Tensor(q0), onehot, gamma)
+        loss = terms.masked_mean(mask)
+        record = [terms.data.dtype, terms.data.tobytes(), loss.data.tobytes()]
+        for _ in range(2):  # a second pass over the same graph accumulates
+            loss.backward()
+            record.append(leaf.grad.tobytes())
+        got.append(record)
+    assert got[0] == got[1]
+
+
+def _one_hot_by_scatter(labels, num_classes, dtype):
+    """``_one_hot`` as a ``put_along_axis`` scatter, kept as its reference."""
+    valid = labels != IGNORE_LABEL
+    onehot = np.zeros((num_classes,) + labels.shape, dtype=dtype)
+    safe = np.where(valid, labels, 0)
+    np.put_along_axis(onehot, safe[None], np.where(valid, 1.0, 0.0)[None], axis=0)
+    return onehot, valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), c=st.integers(2, 5),
+       shape=st.one_of(st.tuples(st.integers(1, 70)), st.tuples(st.integers(1, 9), st.integers(1, 9))),
+       label_dtype=st.sampled_from([np.int64, np.uint8]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_one_hot_equals_the_put_along_axis_scatter(data, c, shape, label_dtype, dtype):
+    labels = data.draw(arrays(label_dtype, shape,
+                              elements=st.sampled_from([*range(c), IGNORE_LABEL])))
+    onehot, valid = _one_hot(labels, c, dtype)
+    want_onehot, want_valid = _one_hot_by_scatter(labels, c, dtype)
+    assert onehot.dtype == want_onehot.dtype and onehot.tobytes() == want_onehot.tobytes()
+    assert np.array_equal(valid, want_valid)
+
+
+def _tracked_nodes(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("kind", ["shannon", "kl", "ce", "square"])
+def test_masked_mean_loss_is_leaf_term_and_reduction(kind):
+    rng = np.random.default_rng(13)
+    leaf = Tensor(rng.random((3, 8)), requires_grad=True)
+    mask = np.ones(8, dtype=bool)
+    loss = {"shannon": lambda: shannon_entropy_loss(leaf, mask),
+            "kl": lambda: adjusted_kl_loss(Tensor(rng.random((3, 8))), leaf, mask, gamma=2.0),
+            "ce": lambda: supervised_ce_loss(leaf, rng.integers(0, 3, size=8)),
+            "square": lambda: maximum_square_loss(leaf, mask)}[kind]()
+    assert _tracked_nodes(loss) == 3
 
 
 # ------------------------------------------------- properties at the edges

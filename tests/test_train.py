@@ -70,6 +70,34 @@ def test_config_round_trip_through_format(tmp_path):
     assert make_config(path) == cfg
 
 
+# the loss fields' edges: epsilon in (0, 1); gamma, lambda_u and lambda_m >= 0
+_TINY = 5e-324  # the smallest positive double
+
+
+@pytest.mark.parametrize("field, value, ok", [
+    ("epsilon", _TINY, True),
+    ("epsilon", float(np.nextafter(1.0, 0.0)), True),
+    ("epsilon", 0.0, False),
+    ("epsilon", 1.0, False),
+    ("epsilon", float("nan"), False),
+    ("gamma", 0.0, True),
+    ("gamma", -_TINY, False),
+    ("gamma", float("nan"), False),
+    ("lambda_u", 0.0, True),
+    ("lambda_u", -_TINY, False),
+    ("lambda_m", 0.0, True),
+    ("lambda_m", -_TINY, False),
+])
+def test_config_checks_the_loss_fields_naming_the_field(field, value, ok):
+    for build in (lambda: TrainConfig(**{field: value}),
+                  lambda: make_config(overrides={field: repr(value)})):
+        if ok:
+            assert getattr(build(), field) == value
+        else:
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                build()
+
+
 # --------------------------------------------------------------------- model
 
 def test_model_prob_map_is_valid_distribution():
@@ -348,6 +376,7 @@ def test_pipeline_outputs_and_determinism(tmp_path):
     assert "stage1_thresholds.csv" in files and "stage1_ious.csv" in files
     for name in files:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+    assert make_config(a_dir / "config.txt") == cfg
 
 
 def test_write_iou_csv_writes_nan_for_a_class_without_pixels(tmp_path):
