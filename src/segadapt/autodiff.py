@@ -2,12 +2,12 @@
 
 The engine is deliberately small: dense row-major storage, elementwise
 arithmetic (add, subtract, negate, multiply, power) with scalar
-broadcasting, log, tanh and clamp, a fused affine layer, transpose, column
-gather and concat, softmax, sums, masked means, and stop-gradient, plus the
-classifier's whole forward (``mlp_softmax``) as one node.  That is what the
-losses and the per-pixel classifier in this package use, and it keeps the
-backward pass easy to audit.  ``make_node`` is the one constructor of a graph
-node; ``segadapt.losses`` builds its fused per-pixel loss terms with it.
+broadcasting, log, tanh and clamp, a fused affine layer, column gather and
+concat, softmax, sums, masked means, and stop-gradient, plus the
+classifier's whole forward (``mlp_softmax``, (F, N) feature planes to a
+(C, N) map) as one node.  That is what the losses and the classifier use,
+and it keeps the backward pass easy to audit.  ``make_node`` is the one
+constructor of a graph node; ``segadapt.losses`` builds its loss terms with it.
 
 Graphs are built implicitly: each operation records its parents and one
 vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
@@ -227,13 +227,6 @@ class Tensor:
         inside = (a.data > lo) & (a.data < hi)
         return make_node(out, (a,), (lambda g: g * inside,))
 
-    # ---------------------------------------------------------- linear maps
-
-    def transpose(self):
-        if self.data.ndim != 2:
-            raise ShapeMismatchError(f"transpose requires a 2-D tensor, got {self.shape}")
-        return make_node(self.data.T.copy(), (self,), (lambda g: g.T,))
-
     # ------------------------------------------------------------ reductions
 
     def sum(self, axis: int | None = None):
@@ -261,7 +254,7 @@ class Tensor:
         count = int(sel.sum())
         if count == 0:
             return Tensor(0.0)
-        value = a.data[sel].mean(dtype=np.float64)
+        value = a.data[sel].sum(dtype=np.float64) / count  # np.mean's bits, without its wrapper
         return make_node(np.array(value), (a,),
                          (lambda g: (g * sel / count).astype(a.data.dtype, copy=False),))
 
@@ -299,37 +292,36 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``x @ w + b`` as one node: (M, K) @ (K, N) plus a length-N bias."""
+    """Affine layer ``w.T @ x + b`` as one node: (K, M) columns to (N, M), plus a length-N bias."""
     x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
     _check_linear("linear", x.shape, w.shape, b.shape)
-    return make_node(x.data @ w.data + b.data[None, :], (x, w, b),
-                     (lambda g: g @ w.data.T, lambda g: x.data.T @ g, lambda g: g.sum(axis=0)))
+    return make_node(w.data.T @ x.data + b.data[:, None], (x, w, b),
+                     (lambda g: w.data @ g, lambda g: x.data @ g.T, lambda g: g.sum(axis=1)))
 
 
 def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Class-major softmax of a tanh MLP, (N, K) rows to a (C, N) map, as one node.
+    """Class-major softmax of a tanh MLP, (F, N) feature planes to a (C, N) map, as one node.
 
     The value and every gradient equal, bit for bit, those of the chain
-    ``linear(linear(x, w1, b1).tanh(), w2, b2).transpose().softmax(axis=0)``:
-    the same numpy expressions in the same order on the same memory layouts.
-    The forward works in place in three arrays (hidden, logits, map) where the
-    chain allocates about nine, and allocating a large array costs more than
-    the arithmetic that fills it.  The backward derives the softmax and tanh
-    flows once and hands each parent its share.  The four parameters share
-    one dtype, so the in-place bias adds keep the chain's result dtype.
+    ``linear(linear(x, w1, b1).tanh(), w2, b2).softmax(axis=0)``: the same
+    numpy expressions in the same order on the same memory layouts.  The
+    forward works in place in two arrays (hidden, map) where the chain
+    allocates about eight; pixels stay columns, so no transposed copy is
+    made.  The backward derives the softmax and tanh flows once and hands
+    each parent its share.  The four parameters share one dtype, so the
+    in-place bias adds keep the chain's result dtype.
     """
     x, w1, b1, w2, b2 = parents = tuple(_ensure_tensor(t) for t in (x, w1, b1, w2, b2))
     _check_linear("mlp_softmax layer 1", x.shape, w1.shape, b1.shape)
-    _check_linear("mlp_softmax layer 2", (x.shape[0], w1.shape[1]), w2.shape, b2.shape)
+    _check_linear("mlp_softmax layer 2", (w1.shape[1], x.shape[1]), w2.shape, b2.shape)
     if len({p.data.dtype for p in parents[1:]}) != 1:
         raise TypeError("mlp_softmax expects parameters of one dtype, got "
                         + ", ".join(str(p.data.dtype) for p in parents[1:]))
-    h = x.data @ w1.data
-    h += b1.data
+    h = w1.data.T @ x.data
+    h += b1.data[:, None]
     np.tanh(h, out=h)
-    z = h @ w2.data
-    z += b2.data
-    out = z.T.copy()
+    out = w2.data.T @ h
+    out += b2.data[:, None]
     out -= out.max(axis=0, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=0, keepdims=True)
@@ -337,15 +329,15 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     needs_hidden_flow = x.requires_grad or w1.requires_grad or b1.requires_grad
 
     def flows(g):
-        g_z = (out * (g - (g * out).sum(axis=0, keepdims=True))).T  # (N, C) view, as the chain's
-        g_a = (g_z @ w2.data.T) * (1.0 - h * h) if needs_hidden_flow else None
+        g_z = out * (g - (g * out).sum(axis=0, keepdims=True))
+        g_a = (w2.data @ g_z) * (1.0 - h * h) if needs_hidden_flow else None
         return g_z, g_a
 
-    parts = (lambda g_z, g_a: g_a @ w1.data.T,
-             lambda g_z, g_a: x.data.T @ g_a,
-             lambda g_z, g_a: g_a.sum(axis=0),
-             lambda g_z, g_a: h.T @ g_z,
-             lambda g_z, g_a: g_z.sum(axis=0))
+    parts = (lambda g_z, g_a: w1.data @ g_a,
+             lambda g_z, g_a: x.data @ g_a.T,
+             lambda g_z, g_a: g_a.sum(axis=1),
+             lambda g_z, g_a: h @ g_z.T,
+             lambda g_z, g_a: g_z.sum(axis=1))
     return make_node(out, parents, _shared_vjps(parents, flows, parts))
 
 
@@ -391,8 +383,8 @@ def _ensure_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _check_linear(op: str, x: tuple, w: tuple, b: tuple) -> None:
-    if len(x) != 2 or len(w) != 2 or len(b) != 1 or x[1] != w[0] or w[1] != b[0]:
-        raise ShapeMismatchError(f"{op} expects (M, K), (K, N) and (N,), got {x}, {w} and {b}")
+    if len(x) != 2 or len(w) != 2 or len(b) != 1 or x[0] != w[0] or w[1] != b[0]:
+        raise ShapeMismatchError(f"{op} expects (K, M), (K, N) and (N,), got {x}, {w} and {b}")
 
 
 def _shared_vjps(parents: tuple[Tensor, ...], flows, parts) -> tuple:

@@ -62,13 +62,18 @@ class TrainConfig:
     eval_every: int = 200
 
     def __post_init__(self):
-        # the loss terms clamp probabilities to [epsilon, 1] before a log and
-        # raise 1 - p to the power gamma; outside these ranges they give NaN
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        for name in ("gamma", "lambda_u", "lambda_m"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # outside these ranges the losses give NaN, or thresholds freeze or mask out every pixel
+        ranges = (("epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"),
+                  ("gamma", self.gamma >= 0.0, "be >= 0"),
+                  ("lambda_u", self.lambda_u >= 0.0, "be >= 0"),
+                  ("lambda_m", self.lambda_m >= 0.0, "be >= 0"),
+                  ("threshold_a", 0.0 <= self.threshold_a < 1.0, "lie in [0, 1)"),
+                  ("threshold_b", 0.0 < self.threshold_b <= 1.0, "lie in (0, 1]"),
+                  ("threshold_d", self.threshold_d >= 0.0, "be >= 0"),
+                  ("threshold_t0", 0.0 < self.threshold_t0 <= 1.0, "lie in (0, 1]"))
+        for name, ok, rule in ranges:
+            if not ok:
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}

@@ -1,4 +1,4 @@
-"""Synthetic two-domain segmentation scenes, per-pixel features, perturbation.
+"""Synthetic two-domain segmentation scenes, (F, N) feature planes, perturbation.
 
 Scenes are built on a cell grid: each cell independently hosts at most one
 axis-aligned rectangle of a foreground class, so per-class pixel fractions
@@ -150,11 +150,11 @@ def generate_domain(spec: SceneSpec, domain: str, n: int, seed) -> list:
 
 
 def pixel_features(image: np.ndarray) -> np.ndarray:
-    """Per-pixel feature rows (N, 9): color plus local 3x3 mean and variance.
+    """(F, N) feature planes, F = 9: color plus local 3x3 mean and variance.
 
-    Every scene of every step goes through here, so the three feature
-    planes are written in place into one (9, H, W) buffer: on these sizes
-    a fresh array costs about as much as the arithmetic that fills it.
+    Every scene of every step goes through here, so the planes are written
+    in place into one (9, H, W) buffer, returned as is, C-contiguous (9, H*W):
+    on these sizes a fresh array costs about as much as the arithmetic.
     """
     image = np.asarray(image, dtype=np.float64)
     c = image.shape[0]
@@ -166,7 +166,7 @@ def pixel_features(image: np.ndarray) -> np.ndarray:
     uniform_filter(var, size=(1, 3, 3), output=var, mode="nearest")  # the mean square
     var -= mean * mean
     np.maximum(var, 0.0, out=var)
-    return feats.reshape(3 * c, -1).T.copy()
+    return feats.reshape(3 * c, -1)
 
 
 def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,

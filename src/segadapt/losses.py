@@ -136,9 +136,14 @@ def _max_square_terms(p: Tensor) -> Tensor:
     return make_node(-(a * a).sum(axis=0) * 0.5, (p,), (vjp,))
 
 
-def _check_probmap(p: Tensor) -> None:
+def _check_probmap(p: Tensor, epsilon: float = 1e-8, gamma: float = 0.0) -> None:
+    """A class axis plus pixel axes, and the parameters outside which the terms give NaN."""
     if p.data.ndim < 2:
         raise ValueError(f"probability map needs a class axis plus pixel axes, got shape {p.shape}")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:
@@ -164,7 +169,7 @@ def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, n
 
 def shannon_entropy_loss(p: Tensor, mask, epsilon: float = 1e-8) -> Tensor:
     """Masked mean over pixels of the per-pixel Shannon entropy of ``p``."""
-    _check_probmap(p)
+    _check_probmap(p, epsilon)
     return _entropy_terms(p, epsilon).masked_mean(mask)
 
 
@@ -175,7 +180,7 @@ def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
     ``p_hat`` is the soft pseudo label and must be detached: gradient flows
     only into ``p_star``.
     """
-    _check_probmap(p_hat)
+    _check_probmap(p_hat, epsilon, gamma)
     _check_pair(p_hat, p_star)
     if p_hat.requires_grad:
         raise ValueError("p_hat must be detached: it serves as the soft pseudo label")
@@ -197,14 +202,14 @@ def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
 
 def supervised_ce_loss(p: Tensor, labels, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-log p[label]``."""
-    _check_probmap(p)
+    _check_probmap(p, epsilon)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     return _cross_entropy_terms(p, onehot, epsilon).masked_mean(valid)
 
 
 def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8) -> Tensor:
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
-    _check_probmap(p)
+    _check_probmap(p, epsilon, gamma)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     focal_log = ((1.0 - p) ** gamma) * p.clamp(epsilon, 1.0).log()
     return (-(Tensor(onehot) * focal_log).sum(axis=0)).masked_mean(valid)
@@ -242,7 +247,7 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
     Weight 2 marks pixels near mix-mask boundaries, 1 elsewhere; IGNORE pixels
     drop out of both sums.  An all-IGNORE map yields a constant 0.
     """
-    _check_probmap(p)
+    _check_probmap(p, epsilon)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != valid.shape:

@@ -1,8 +1,8 @@
 """Per-pixel dense classifier: a small tanh MLP over local color statistics.
 
-The whole forward, features to class-major probabilities, is one fused
-autodiff node (``autodiff.mlp_softmax``) that works in place.  Every
-evaluation, pseudo-label map and training step runs it on thousands of
+The whole forward, (F, N) feature planes to class-major (C, N) probabilities,
+is one fused autodiff node (``autodiff.mlp_softmax``) that works in place.
+Every evaluation, pseudo-label map and training step runs it on thousands of
 pixels, and at these sizes a fresh array costs about as much as the
 arithmetic that fills it.
 """
@@ -19,7 +19,7 @@ __all__ = ["PixelModel", "save_model", "load_model"]
 
 
 class PixelModel:
-    """Two-layer MLP mapping feature rows (N, F) to class-major prob maps (C, N).
+    """Two-layer MLP mapping (F, N) feature planes to class-major prob maps (C, N).
 
     The parameters are stored in ``dtype`` (float64 or float32), and so is
     the training graph when the features are cast to it.  The initial

@@ -143,16 +143,13 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
 
 
 def _target_branches(model, feats_t, image_t, rng_perturb, cfg):
-    """Aligned weak-branch and perturbed-branch prob maps plus the loss mask."""
+    """The weak-branch map, aligned with the perturbed branch, and the perturbed-branch map."""
     p_t = model.prob_map(feats_t)
     x_star, flipped = perturb(image_t, rng_perturb, noise=cfg.perturb_noise,
                               brightness=cfg.perturb_brightness,
                               contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
     p_star = model.prob_map(_features(model, x_star))
-    if flipped:
-        p_hat = take_cols(p_t, flip_permutation(cfg.height, cfg.width))
-    else:
-        p_hat = p_t
+    p_hat = take_cols(p_t, flip_permutation(cfg.height, cfg.width)) if flipped else p_t
     return p_hat, p_star
 
 

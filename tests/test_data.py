@@ -64,10 +64,19 @@ def test_pixel_features_shape_and_local_stats():
     image = np.zeros((3, 8, 8))
     image[0] = 1.0
     feats = pixel_features(image)
-    assert feats.shape == (64, 9)
-    assert np.allclose(feats[:, 0], 1.0)   # red channel
-    assert np.allclose(feats[:, 3], 1.0)   # local mean of a constant plane
-    assert np.allclose(feats[:, 6:], 0.0)  # variance of a constant image
+    assert feats.shape == (9, 64)
+    assert np.allclose(feats[0], 1.0)   # red channel
+    assert np.allclose(feats[3], 1.0)   # local mean of a constant plane
+    assert np.allclose(feats[6:], 0.0)  # variance of a constant image
+
+
+def test_pixel_features_are_c_contiguous_feature_planes():
+    # (F, N): one row per feature, the pixels in row-major order along each row
+    image = np.random.default_rng(4).random((3, 5, 7))
+    feats = pixel_features(image)
+    assert feats.shape == (9, 35) and feats.dtype == np.float64
+    assert feats.flags.c_contiguous
+    assert np.array_equal(feats[:3], image.reshape(3, 35))
 
 
 def _allocating_pixel_features(image):
@@ -77,7 +86,7 @@ def _allocating_pixel_features(image):
     mean_sq = uniform_filter(image * image, size=(1, 3, 3), mode="nearest")
     var = np.maximum(mean_sq - mean * mean, 0.0)
     feats = np.concatenate([image, mean, var], axis=0)
-    return feats.reshape(feats.shape[0], -1).T.copy()
+    return feats.reshape(feats.shape[0], -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -93,7 +102,7 @@ def test_pixel_features_is_byte_identical_to_the_allocating_expression(height, w
     image[snapped] = rng.random(int(snapped.sum())) < 0.5
     image = image.astype(dtype)
     feats = pixel_features(image)
-    assert feats.shape == (height * width, 9) and feats.flags.c_contiguous
+    assert feats.shape == (9, height * width) and feats.flags.c_contiguous
     assert feats.tobytes() == _allocating_pixel_features(image).tobytes()
 
 

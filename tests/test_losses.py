@@ -561,3 +561,37 @@ def test_supervised_focal_finite_value_and_gradient(data, gamma):
     loss.backward()
     assert np.isfinite(loss.item())
     assert np.all(np.isfinite(p.grad))
+
+
+# ---------------------------------------------------------- parameter checks
+
+_TINY = 5e-324  # the smallest positive double
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 1.0, -_TINY, float("nan")])
+def test_every_loss_rejects_an_epsilon_outside_the_open_unit_interval(epsilon):
+    p = Tensor([[1.0, 0.5], [0.0, 0.5]])
+    mask, labels = np.ones(2, dtype=bool), np.array([0, 1])
+    for call in (lambda: shannon_entropy_loss(p, mask, epsilon=epsilon),
+                 lambda: adjusted_kl_loss(p, p, mask, 2.0, epsilon=epsilon),
+                 lambda: unsupervised_focal_loss(p, p, mask, 2.0, epsilon=epsilon),
+                 lambda: supervised_ce_loss(p, labels, epsilon=epsilon),
+                 lambda: supervised_focal_loss(p, labels, 2.0, epsilon=epsilon),
+                 lambda: mixed_ce_loss(p, labels, np.ones(2), epsilon=epsilon)):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\)"):
+            call()
+    # just inside the interval the loss is finite
+    assert np.isfinite(shannon_entropy_loss(p, mask, epsilon=_TINY).item())
+    assert np.isfinite(shannon_entropy_loss(p, mask, epsilon=float(np.nextafter(1.0, 0.0))).item())
+
+
+@pytest.mark.parametrize("gamma", [-1.0, -_TINY, float("nan")])
+def test_every_focal_loss_rejects_a_negative_or_nan_gamma(gamma):
+    p = Tensor([[1.0, 0.5], [0.0, 0.5]])
+    mask, labels = np.ones(2, dtype=bool), np.array([0, 1])
+    for call in (lambda: adjusted_kl_loss(p, p, mask, gamma),
+                 lambda: unsupervised_focal_loss(p, p, mask, gamma),
+                 lambda: supervised_focal_loss(p, labels, gamma)):
+        with pytest.raises(ValueError, match="^gamma must be >= 0"):
+            call()
+    assert np.isfinite(unsupervised_focal_loss(p, p, mask, 0.0).item())

@@ -98,12 +98,33 @@ def test_config_checks_the_loss_fields_naming_the_field(field, value, ok):
                 build()
 
 
+# the threshold EMA's edges: a in [0, 1), b in (0, 1], d >= 0, t0 in (0, 1]
+_BELOW_ONE, _ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("field, inside, outside", [
+    ("threshold_a", [0.0, _BELOW_ONE], [-_TINY, 1.0, float("nan")]),
+    ("threshold_b", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
+    ("threshold_d", [0.0], [-_TINY, float("nan")]),
+    ("threshold_t0", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
+], ids=["threshold_a", "threshold_b", "threshold_d", "threshold_t0"])
+def test_config_checks_the_threshold_fields_naming_the_field(field, inside, outside):
+    for value in inside:
+        assert getattr(TrainConfig(**{field: value}), field) == value
+        assert getattr(make_config(overrides={field: repr(value)}), field) == value
+    for value in outside:
+        for build in (lambda: TrainConfig(**{field: value}),
+                      lambda: make_config(overrides={field: repr(value)})):
+            with pytest.raises(ValueError, match=f"^{field} must"):
+                build()
+
+
 # --------------------------------------------------------------------- model
 
 def test_model_prob_map_is_valid_distribution():
     rng = np.random.default_rng(0)
     model = PixelModel(num_classes=5, hidden=8, rng=rng)
-    feats = rng.random((40, NUM_FEATURES))
+    feats = rng.random((NUM_FEATURES, 40))  # (F, N) feature planes
     probs = model.prob_map(feats)
     assert probs.shape == (5, 40)
     assert np.allclose(probs.data.sum(axis=0), 1.0, atol=1e-10)
