@@ -6,10 +6,15 @@ have a closed form.  Source and target share geometry statistics and differ
 only photometrically (channel offset, brightness scale, extra noise).  One
 foreground class is deliberately rare and colored close to another class,
 which makes it the hard, low-confidence class of the task.
+
+The generator takes ``rng.choice``'s and ``rng.normal``'s draws in their
+order, so every scene keeps the bytes those calls gave, without their
+per-draw checks: ``scene_spec`` makes those checks once, naming the field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +84,17 @@ def scene_spec(cfg: TrainConfig) -> SceneSpec:
         if size <= 0 or size % cfg.cell:
             raise ValueError(f"{name} must be a positive multiple of cell={cfg.cell}, "
                              f"got {size}")
+    for name in ("rare_weight", "color_noise"):
+        value = getattr(cfg, name)
+        # the sign bit, as numpy's own scale check reads it: -0.0 fails too
+        if not math.isfinite(value) or math.copysign(1.0, value) < 0.0:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     weights = np.ones(c)
     weights[0] = 0.0  # background never placed explicitly
     weights[cfg.rare_class] = cfg.rare_weight
+    if weights.sum() == 0.0:
+        raise ValueError("rare_weight must be > 0 when the rare class is the only "
+                         "foreground class")
     weights = weights / weights.sum()
     colors = _BASE_COLORS[:c].copy()
     lo = max(4, cfg.cell // 3)
@@ -116,16 +129,22 @@ def expected_class_fraction(spec: SceneSpec) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec, domain: str, rng: np.random.Generator):
-    """One procedurally generated scene: image (3, H, W) and exact labels."""
+    """One procedurally generated scene: image (3, H, W) and exact labels.
+
+    The draws are those of ``rng.choice(classes, p=class_weights)`` and
+    ``rng.normal(0, s, shape)``, in their order, without the wrappers: the
+    class is numpy's own table lookup, and ``0 + s*z`` has the bits of ``s*z``.
+    """
     if domain not in ("source", "target"):
         raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
     labels = np.zeros((spec.height, spec.width), dtype=np.int64)
-    classes = np.arange(spec.num_classes)
+    cdf = np.asarray(spec.class_weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
     for top in range(0, spec.height - spec.cell + 1, spec.cell):
         for left in range(0, spec.width - spec.cell + 1, spec.cell):
             if rng.random() >= spec.fill_prob:
                 continue
-            c = int(rng.choice(classes, p=spec.class_weights))
+            c = int(cdf.searchsorted(rng.random(), side="right"))
             lo, hi = spec.size_ranges[c]
             rh = int(rng.integers(lo, hi + 1))
             rw = int(rng.integers(lo, hi + 1))
@@ -133,14 +152,19 @@ def generate_scene(spec: SceneSpec, domain: str, rng: np.random.Generator):
             dx = int(rng.integers(0, spec.cell - rw + 1))
             labels[top + dy:top + dy + rh, left + dx:left + dx + rw] = c
 
-    image = spec.colors[labels].transpose(2, 0, 1).astype(np.float64)
-    image = image + rng.normal(0.0, spec.color_noise, size=image.shape)
+    colors = np.ascontiguousarray(spec.colors.T, dtype=np.float64)
+    image = np.take(colors, labels, axis=1)  # C-contiguous (3, H, W)
+    noise = rng.standard_normal(image.shape)  # drawn even at color_noise 0
+    noise *= spec.color_noise
+    image += noise
     if domain == "target":
-        image = image * spec.shift_brightness
-        image = image + (spec.shift_hue * _HUE_DIRECTION)[:, None, None]
+        image *= spec.shift_brightness
+        image += (spec.shift_hue * _HUE_DIRECTION)[:, None, None]
         if spec.shift_noise > 0.0:
-            image = image + rng.normal(0.0, spec.shift_noise, size=image.shape)
-    return np.clip(image, 0.0, 1.0), labels
+            rng.standard_normal(out=noise)
+            noise *= spec.shift_noise
+            image += noise
+    return np.clip(image, 0.0, 1.0, out=image), labels
 
 
 def generate_domain(spec: SceneSpec, domain: str, n: int, seed) -> list:

@@ -5,6 +5,7 @@ from scipy.ndimage import uniform_filter
 
 from segadapt.config import TrainConfig
 from segadapt.data import (
+    _HUE_DIRECTION,
     expected_class_fraction,
     flip_permutation,
     generate_domain,
@@ -13,6 +14,9 @@ from segadapt.data import (
     pixel_features,
     scene_spec,
 )
+
+
+_TINY = 5e-324  # the smallest positive float
 
 
 def default_spec(**kw):
@@ -158,10 +162,33 @@ def test_generate_scene_rejects_unknown_domain():
     ("cell", dict(cell=-16)),
     ("height", dict(height=0)),
     ("width", dict(width=-16)),
+    # numpy's draws rejected these before scene_spec did, without naming the field
+    ("rare_weight", dict(rare_weight=-_TINY)),
+    ("rare_weight", dict(rare_weight=float("nan"))),
+    ("rare_weight", dict(rare_weight=float("inf"))),
+    ("rare_weight", dict(num_classes=2, rare_class=1, rare_weight=0.0)),
+    ("color_noise", dict(color_noise=-_TINY)),
+    ("color_noise", dict(color_noise=-0.0)),
+    ("color_noise", dict(color_noise=float("inf"))),
+    # a NaN color_noise gave NaN images without any error
+    ("color_noise", dict(color_noise=float("nan"))),
 ])
 def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
     with pytest.raises(ValueError, match=f"^{field} must"):
         default_spec(**overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(rare_weight=0.0),
+    dict(num_classes=2, rare_class=1, rare_weight=_TINY),
+    dict(color_noise=0.0),
+], ids=["rare_weight_zero", "rare_weight_tiny_only_foreground", "color_noise_zero"])
+def test_scene_spec_accepts_the_edges_of_its_ranges(overrides):
+    # the just-inside twins of the rejected rare_weight and color_noise rows
+    spec = default_spec(**overrides)
+    for domain in ("source", "target"):
+        image, labels = generate_scene(spec, domain, np.random.default_rng(0))
+        assert np.all(np.isfinite(image)) and labels.max() < spec.num_classes
 
 
 def test_smallest_cell_generates_scenes():
@@ -169,3 +196,48 @@ def test_smallest_cell_generates_scenes():
     scenes = generate_domain(spec, "source", 5, 0)
     assert all(image.shape == (3, 36, 36) for image, _ in scenes)
     assert any(labels.any() for _, labels in scenes)
+
+
+def _generate_scene_by_choice_and_normal(spec, domain, rng):
+    """``generate_scene`` through ``rng.choice`` and ``rng.normal``, kept as its reference."""
+    labels = np.zeros((spec.height, spec.width), dtype=np.int64)
+    classes = np.arange(spec.num_classes)
+    for top in range(0, spec.height - spec.cell + 1, spec.cell):
+        for left in range(0, spec.width - spec.cell + 1, spec.cell):
+            if rng.random() >= spec.fill_prob:
+                continue
+            c = int(rng.choice(classes, p=spec.class_weights))
+            lo, hi = spec.size_ranges[c]
+            rh = int(rng.integers(lo, hi + 1))
+            rw = int(rng.integers(lo, hi + 1))
+            dy = int(rng.integers(0, spec.cell - rh + 1))
+            dx = int(rng.integers(0, spec.cell - rw + 1))
+            labels[top + dy:top + dy + rh, left + dx:left + dx + rw] = c
+    image = spec.colors[labels].transpose(2, 0, 1).astype(np.float64)
+    image = image + rng.normal(0.0, spec.color_noise, size=image.shape)
+    if domain == "target":
+        image = image * spec.shift_brightness
+        image = image + (spec.shift_hue * _HUE_DIRECTION)[:, None, None]
+        if spec.shift_noise > 0.0:
+            image = image + rng.normal(0.0, spec.shift_noise, size=image.shape)
+    return np.clip(image, 0.0, 1.0), labels
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(num_classes=2, rare_class=1),
+    dict(shift_noise=0.0),
+    dict(color_noise=0.0),
+    dict(cell=6, height=36, width=36),
+], ids=["default", "two_classes", "no_shift_noise", "no_color_noise", "cell_6"])
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_generate_scene_keeps_the_bytes_of_choice_and_normal(overrides, domain):
+    spec = default_spec(**overrides)
+    for seed in (0, 1):
+        got = generate_domain(spec, domain, 8, seed)
+        rng = np.random.default_rng(seed)
+        for image, labels in got:
+            ref_image, ref_labels = _generate_scene_by_choice_and_normal(spec, domain, rng)
+            assert image.dtype == np.float64 and image.flags.c_contiguous
+            assert image.tobytes() == ref_image.tobytes()
+            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)

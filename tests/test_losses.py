@@ -308,6 +308,20 @@ def test_mixed_ce_two_pixel_scalar_oracle():
     assert got == pytest.approx(0.462098, abs=1e-6)
 
 
+def test_mixed_ce_ignore_pixels_drop_out_whatever_their_weight():
+    rng = np.random.default_rng(9)
+    _, p0 = random_probmap(rng, 3, 6)
+    labels = np.array([0, IGNORE_LABEL, 2, 1, IGNORE_LABEL, 0])
+    w = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+    got = []
+    for ignore_weight in (2.0, 0.0):
+        p = Tensor(p0.data, requires_grad=True)
+        loss = mixed_ce_loss(p, labels, np.where(labels == IGNORE_LABEL, ignore_weight, w))
+        loss.backward()
+        got.append((loss.data.tobytes(), p.grad.tobytes()))
+    assert got[0] == got[1]
+
+
 def test_mixed_ce_gradient_vs_finite_differences():
     rng = np.random.default_rng(8)
     z0 = rng.normal(size=(3, 5))
@@ -433,8 +447,9 @@ FUSED_AND_CHAIN = {
         lambda p, q, y, gamma: -(p * p).sum(axis=0) * 0.5),
 }
 
-# probabilities of exactly 0 or 1 as well as interior values
-MAP_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# probabilities of exactly 0, epsilon (where the clamp stops passing gradient)
+# or 1 as well as interior values
+MAP_ENTRIES = st.one_of(st.sampled_from([0.0, 1e-8, 1.0]), st.floats(0.0, 1.0))
 # gamma at 0 (a constant damping factor), in (0, 1) and at or above 1
 TERM_GAMMAS = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                         st.floats(1.0, 4.0))

@@ -249,6 +249,13 @@ def test_stage1_logs_and_decomposition(small_run):
     assert np.all((alphas >= 0.0) & (alphas <= 1.0))
 
 
+def test_stage1_alpha_leaves_t0(small_run):
+    # the per-step threshold update is what moves alpha off its start value
+    cfg, _, _, _, _, log1 = small_run
+    alphas = np.array([a for _, _, a in log1.thresholds])
+    assert np.any(alphas != cfg.threshold_t0)
+
+
 def test_stage1_improves_target_miou(small_run):
     cfg, source, target, base, stage1_model, _ = small_run
     _, base_miou = evaluate_miou(base, target, cfg.num_classes)
