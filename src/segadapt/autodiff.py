@@ -330,7 +330,12 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
 
     def flows(g):
         g_z = out * (g - (g * out).sum(axis=0, keepdims=True))
-        g_a = (w2.data @ g_z) * (1.0 - h * h) if needs_hidden_flow else None
+        if not needs_hidden_flow:
+            return g_z, None
+        g_a = w2.data @ g_z
+        d = h * h
+        np.subtract(1.0, d, out=d)
+        g_a *= d  # (w2 @ g_z) * (1 - h * h) without two more (hidden, N) arrays
         return g_z, g_a
 
     parts = (lambda g_z, g_a: w1.data @ g_a,

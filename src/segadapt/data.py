@@ -9,7 +9,13 @@ which makes it the hard, low-confidence class of the task.
 
 The generator takes ``rng.choice``'s and ``rng.normal``'s draws in their
 order, so every scene keeps the bytes those calls gave, without their
-per-draw checks: ``scene_spec`` makes those checks once, naming the field.
+per-draw checks: ``SceneSpec`` makes those checks once, when it is built,
+naming the field.
+
+Label maps are uint8, as the 8-bit label images of real segmentation
+datasets are, with ``losses.IGNORE_LABEL`` = 255 as the ignore value: a
+64x64 map takes 4 KiB instead of int64's 32 KiB, and a scene is the
+float64 image plus that map.
 """
 
 from __future__ import annotations
@@ -52,8 +58,21 @@ _HUE_DIRECTION = np.array([0.9, -1.0, 0.25])
 NUM_FEATURES = 9  # color (3) + local 3x3 mean (3) + local 3x3 variance (3)
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """Finite and >= 0 by the sign bit, as numpy's own scale check reads it: -0.0 fails too."""
+    if not math.isfinite(value) or math.copysign(1.0, value) < 0.0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass
 class SceneSpec:
+    """The scene recipe; a bad field raises ValueError naming it.
+
+    ``__post_init__``, which ``dataclasses.replace`` runs too, makes once the
+    checks numpy's per-draw ``choice`` and ``normal`` made, so the per-scene
+    draw loop makes none.
+    """
+
     num_classes: int = 5
     height: int = 64
     width: int = 64
@@ -66,6 +85,23 @@ class SceneSpec:
     shift_hue: float = 0.1
     shift_brightness: float = 0.82
     shift_noise: float = 0.01
+
+    def __post_init__(self):
+        c = self.num_classes
+        weights = np.asarray(self.class_weights, dtype=np.float64)
+        if weights.shape != (c,):
+            raise ValueError(f"class_weights must be 1-D with num_classes={c} entries, "
+                             f"got shape {weights.shape}")
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+            raise ValueError(f"class_weights must be finite and >= 0, got {weights}")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"class_weights must sum to 1 within 1e-9, got {total}")
+        ranges = self.size_ranges
+        if len(ranges) != c or any(np.shape(pair) != (2,) for pair in ranges):
+            raise ValueError(f"size_ranges must be num_classes={c} (lo, hi) pairs, "
+                             f"got {ranges!r}")
+        _check_nonnegative("color_noise", self.color_noise)
 
 
 def scene_spec(cfg: TrainConfig) -> SceneSpec:
@@ -84,11 +120,7 @@ def scene_spec(cfg: TrainConfig) -> SceneSpec:
         if size <= 0 or size % cfg.cell:
             raise ValueError(f"{name} must be a positive multiple of cell={cfg.cell}, "
                              f"got {size}")
-    for name in ("rare_weight", "color_noise"):
-        value = getattr(cfg, name)
-        # the sign bit, as numpy's own scale check reads it: -0.0 fails too
-        if not math.isfinite(value) or math.copysign(1.0, value) < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    _check_nonnegative("rare_weight", cfg.rare_weight)
     weights = np.ones(c)
     weights[0] = 0.0  # background never placed explicitly
     weights[cfg.rare_class] = cfg.rare_weight
@@ -129,7 +161,7 @@ def expected_class_fraction(spec: SceneSpec) -> np.ndarray:
 
 
 def generate_scene(spec: SceneSpec, domain: str, rng: np.random.Generator):
-    """One procedurally generated scene: image (3, H, W) and exact labels.
+    """One procedurally generated scene: float64 image (3, H, W) and exact uint8 labels (H, W).
 
     The draws are those of ``rng.choice(classes, p=class_weights)`` and
     ``rng.normal(0, s, shape)``, in their order, without the wrappers: the
@@ -137,7 +169,7 @@ def generate_scene(spec: SceneSpec, domain: str, rng: np.random.Generator):
     """
     if domain not in ("source", "target"):
         raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
-    labels = np.zeros((spec.height, spec.width), dtype=np.int64)
+    labels = np.zeros((spec.height, spec.width), dtype=np.uint8)
     cdf = np.asarray(spec.class_weights, dtype=np.float64).cumsum()
     cdf /= cdf[-1]
     for top in range(0, spec.height - spec.cell + 1, spec.cell):

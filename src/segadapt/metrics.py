@@ -10,11 +10,14 @@ __all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou"]
 
 
 def confusion_matrix(predicted, truth, num_classes: int) -> np.ndarray:
-    """(C, C) counts with rows = truth, columns = prediction; IGNORE skipped."""
+    """(C, C) counts with rows = truth, columns = prediction; IGNORE skipped.
+
+    The bin index is computed in intp, so uint8 label maps do not wrap.
+    """
     predicted = np.asarray(predicted).ravel()
     truth = np.asarray(truth).ravel()
     keep = truth != IGNORE_LABEL
-    index = truth[keep] * num_classes + predicted[keep]
+    index = truth[keep].astype(np.intp) * num_classes + predicted[keep]
     counts = np.bincount(index, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 

@@ -44,7 +44,7 @@ class CategoryDatabase:
 @dataclass
 class MixResult:
     image: np.ndarray    # (3, H, W)
-    labels: np.ndarray   # (H, W)
+    labels: np.ndarray   # (H, W) uint8 when both label maps are, as generated and pseudo ones are
     mask: np.ndarray     # (H, W) bool, True where the source sample was kept
     weights: np.ndarray  # (H, W) in {1.0, 2.0}
 
@@ -106,10 +106,16 @@ def make_mix_mask(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def pseudo_labels(image: np.ndarray, model) -> np.ndarray:
-    """Argmax labels from a frozen model, without confidence filtering."""
+    """(H, W) uint8 argmax labels from a frozen model, without confidence filtering.
+
+    uint8 keeps 255 for IGNORE, so a model with more than 255 classes raises.
+    """
     probs = model.predict_probs(image)
+    if probs.shape[0] > IGNORE_LABEL:
+        raise ValueError(f"pseudo labels are uint8 with {IGNORE_LABEL} as IGNORE, so at most "
+                         f"{IGNORE_LABEL} classes, got {probs.shape[0]}")
     _, labels = confidence_and_argmax(probs)
-    return labels
+    return labels.astype(np.uint8)
 
 
 def boundary_weights(mask: np.ndarray) -> np.ndarray:

@@ -26,6 +26,16 @@ def test_netpbm_round_trip(tmp_path):
     assert np.array_equal(read_pgm(pgm), labels)
 
 
+def test_write_pgm_writes_the_same_bytes_for_int64_and_uint8_labels(tmp_path):
+    # gen-data and mix-preview write uint8 label maps; their PGM bytes are those of int64 maps
+    labels = np.random.default_rng(1).integers(0, 5, size=(6, 9))
+    labels[0, :3] = 255  # IGNORE
+    wide, narrow = tmp_path / "wide.pgm", tmp_path / "narrow.pgm"
+    write_pgm(wide, labels)
+    write_pgm(narrow, labels.astype(np.uint8))
+    assert wide.read_bytes() == narrow.read_bytes()
+
+
 def test_gen_data_writes_scene_files(tmp_path):
     out = tmp_path / "scenes"
     rc = main(["gen-data", "--out", str(out), "--count", "2", *TINY])

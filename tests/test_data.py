@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from segadapt.data import (
     generate_scene,
     perturb,
     pixel_features,
+    SceneSpec,
     scene_spec,
 )
 
@@ -191,6 +194,61 @@ def test_scene_spec_accepts_the_edges_of_its_ranges(overrides):
         assert np.all(np.isfinite(image)) and labels.max() < spec.num_classes
 
 
+_WEIGHTS = np.array([0.0, 0.25, 0.25, 0.25, 0.25])  # five classes, as the default spec has
+_RANGES = ((5, 14), (5, 14), (5, 14), (5, 14), (5, 8))
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("class_weights", dict(class_weights=_WEIGHTS[1:] / _WEIGHTS[1:].sum())),
+    ("class_weights", dict(class_weights=_WEIGHTS[None, :])),
+    ("class_weights", dict(class_weights=_WEIGHTS + [np.nan, 0, 0, 0, 0])),
+    ("class_weights", dict(class_weights=_WEIGHTS + [np.inf, 0, 0, 0, 0])),
+    ("class_weights", dict(class_weights=_WEIGHTS + [-_TINY, 0, 0, 0, 0])),
+    ("class_weights", dict(class_weights=_WEIGHTS + [2e-9, 0, 0, 0, 0])),
+    ("class_weights", dict(class_weights=_WEIGHTS * 6.1)),
+    ("size_ranges", dict(size_ranges=_RANGES[:4])),
+    ("size_ranges", dict(size_ranges=_RANGES[:4] + ((5, 8, 1),))),
+    ("color_noise", dict(color_noise=-_TINY)),
+    ("color_noise", dict(color_noise=-0.0)),
+    ("color_noise", dict(color_noise=float("nan"))),
+    ("color_noise", dict(color_noise=float("inf"))),
+], ids=["weights_short", "weights_2d", "weights_nan", "weights_inf", "weights_negative",
+        "weights_sum_off_2e-9", "weights_sum_6.1", "ranges_short", "ranges_triple",
+        "noise_negative_tiny", "noise_negative_zero", "noise_nan", "noise_inf"])
+def test_scene_spec_checks_its_fields_when_replaced(field, overrides):
+    # dataclasses.replace runs __post_init__, so a hand-made spec fails before any draw
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        dataclasses.replace(default_spec(), **overrides)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(class_weights=list(_WEIGHTS)),
+    dict(class_weights=_WEIGHTS + [0.5e-9, 0, 0, 0, 0]),
+    dict(size_ranges=tuple(list(pair) for pair in _RANGES)),
+    dict(color_noise=_TINY),
+], ids=["weights_list_with_a_zero", "weights_sum_off_half_e-9", "ranges_lists",
+        "noise_tiny"])
+def test_scene_spec_accepts_the_edges_of_its_field_checks(overrides):
+    # the just-inside twins of the rows above
+    spec = dataclasses.replace(default_spec(), **overrides)
+    image, labels = generate_scene(spec, "source", np.random.default_rng(0))
+    assert np.all(np.isfinite(image)) and labels.max() < spec.num_classes
+
+
+def test_default_scene_spec_names_its_empty_class_weights():
+    # the bare defaults carry no weights: the spec fails when built, not in generate_scene
+    with pytest.raises(ValueError, match="^class_weights must"):
+        SceneSpec()
+
+
+def test_generated_scene_takes_a_float64_image_and_a_uint8_label_map():
+    spec = default_spec()
+    image, labels = generate_scene(spec, "target", np.random.default_rng(0))
+    h, w = spec.height, spec.width
+    assert labels.dtype == np.uint8 and labels.shape == (h, w)
+    assert image.nbytes + labels.nbytes == 3 * h * w * 8 + h * w
+
+
 def test_smallest_cell_generates_scenes():
     spec = default_spec(cell=6, height=36, width=36)
     scenes = generate_domain(spec, "source", 5, 0)
@@ -240,4 +298,5 @@ def test_generate_scene_keeps_the_bytes_of_choice_and_normal(overrides, domain):
             ref_image, ref_labels = _generate_scene_by_choice_and_normal(spec, domain, rng)
             assert image.dtype == np.float64 and image.flags.c_contiguous
             assert image.tobytes() == ref_image.tobytes()
-            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+            # the reference keeps int64 labels; the generator stores them as uint8
+            assert labels.dtype == np.uint8 and np.array_equal(labels, ref_labels)

@@ -52,6 +52,23 @@ def test_random_instance_matches_brute_force():
     assert miou == pytest.approx(float(np.mean(manual)))
 
 
+@pytest.mark.parametrize("num_classes", [5, 17])
+def test_uint8_truth_counts_as_int64_truth_does(num_classes):
+    # uint8 truth times num_classes must not wrap: 16 * 17 + 16 = 288 > 255
+    rng = np.random.default_rng(num_classes)
+    truth = rng.integers(0, num_classes, size=(9, 11))
+    truth[rng.random(truth.shape) < 0.2] = IGNORE_LABEL
+    truth[0, 0] = num_classes - 1
+    pred = rng.integers(0, num_classes, size=truth.shape)
+    pred[0, 0] = num_classes - 1
+    brute = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for t, p in zip(truth.ravel(), pred.ravel()):
+        if t != IGNORE_LABEL:
+            brute[t, p] += 1
+    assert np.array_equal(confusion_matrix(pred, truth, num_classes), brute)
+    assert np.array_equal(confusion_matrix(pred, truth.astype(np.uint8), num_classes), brute)
+
+
 def test_evaluate_miou_accumulates_over_scenes():
     labels = np.zeros((4, 4), dtype=int)
     labels[:2] = 1

@@ -170,8 +170,23 @@ def test_pseudo_labels_deterministic_and_tie_break():
     a = pseudo_labels(image, model)
     b = pseudo_labels(image, model)
     assert np.array_equal(a, b)
+    assert a.dtype == np.uint8 and a.shape == (4, 4)
+    assert np.array_equal(a, probs.argmax(axis=0))
     uniform = _StubModel(np.full((3, 2, 2), 1.0 / 3.0))
     assert np.all(pseudo_labels(image[:, :2, :2], uniform) == 0)
+
+
+@pytest.mark.parametrize("num_classes, ok", [(255, True), (256, False)])
+def test_pseudo_labels_hold_at_most_255_classes(num_classes, ok):
+    # uint8 with 255 as IGNORE: class 255 would read as IGNORE, so it raises instead
+    probs = np.zeros((num_classes, 1, 2))
+    probs[-1] = 1.0
+    model = _StubModel(probs)
+    if ok:
+        assert np.all(pseudo_labels(np.zeros((3, 1, 2)), model) == num_classes - 1)
+    else:
+        with pytest.raises(ValueError, match="at most 255 classes"):
+            pseudo_labels(np.zeros((3, 1, 2)), model)
 
 
 # ---------------------------------------------------------------- composition
@@ -198,6 +213,16 @@ def test_mix_composition_exactness():
     assert np.array_equal(result.image[:, ~mask], xt[:, ~mask])
     assert np.array_equal(result.labels[mask], ys[mask])
     assert np.array_equal(result.labels[~mask], yt[~mask])
+
+
+def test_mix_of_uint8_label_maps_gives_uint8_labels():
+    rng = np.random.default_rng(15)
+    xs, ys = scene(rng.integers(0, 4, size=(6, 6)).astype(np.uint8), rng)
+    xt, yt = scene(rng.integers(0, 4, size=(6, 6)).astype(np.uint8), rng)
+    yt[0, 0] = IGNORE_LABEL
+    result = mix(xs, ys, xt, yt, rng.random((6, 6)) < 0.5)
+    assert result.labels.dtype == np.uint8
+    assert np.array_equal(result.labels, np.where(result.mask, ys, yt))
 
 
 def test_mix_shape_mismatch():
