@@ -8,7 +8,7 @@ and a binary gradient-landscape analyzer.
 
 from segadapt.autodiff import Tensor, ShapeMismatchError, concat, linear, take_cols
 from segadapt.config import TrainConfig, make_config, parse_config_file
-from segadapt.data import SceneSpec, generate_domain, perturb, pixel_features, scene_spec
+from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.gradcurves import curve, emit_csv, find_global_min
 from segadapt.losses import (
     IGNORE_LABEL,

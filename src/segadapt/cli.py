@@ -45,7 +45,7 @@ def _config_from(args: argparse.Namespace) -> TrainConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from(args)
-    if args.count:
+    if args.count is not None:
         cfg = dataclasses.replace(cfg, source_scenes=args.count, target_scenes=args.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,10 @@ defaults < file < flags.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+
+from segadapt.data import _BASE_COLORS
 
 __all__ = ["TrainConfig", "parse_config_file", "make_config", "format_config"]
 
@@ -62,18 +65,52 @@ class TrainConfig:
     eval_every: int = 200
 
     def __post_init__(self):
-        # outside these ranges the losses give NaN, or thresholds freeze or mask out every pixel
-        ranges = (("epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"),
-                  ("gamma", self.gamma >= 0.0, "be >= 0"),
-                  ("lambda_u", self.lambda_u >= 0.0, "be >= 0"),
-                  ("lambda_m", self.lambda_m >= 0.0, "be >= 0"),
-                  ("threshold_a", 0.0 <= self.threshold_a < 1.0, "lie in [0, 1)"),
-                  ("threshold_b", 0.0 < self.threshold_b <= 1.0, "lie in (0, 1]"),
-                  ("threshold_d", self.threshold_d >= 0.0, "be >= 0"),
-                  ("threshold_t0", 0.0 < self.threshold_t0 <= 1.0, "lie in (0, 1]"))
-        for name, ok, rule in ranges:
+        for name, ok, rule in self._rows():
             if not ok:
                 raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
+
+    def _rows(self):
+        """The config's one check table: (field, holds, rule) rows, checked in order.
+
+        A row is evaluated only once every row above it held, so a row may
+        rely on them: ``height % cell`` runs once ``cell >= 6`` did.  Outside
+        these ranges a scene cannot be generated as asked, training has
+        nothing to fit, the losses give NaN, or thresholds freeze or mask
+        out every pixel.
+        """
+        colors = len(_BASE_COLORS)
+        yield "num_classes", 2 <= self.num_classes <= colors, \
+            f"be in [2, {colors}] (one distinct color per class)"
+        yield "source_scenes", self.source_scenes >= 1, "be >= 1"
+        yield "target_scenes", self.target_scenes >= 1, "be >= 1"
+        yield "cell", self.cell >= 6, ("be at least 6, so that the shape side range "
+                                       "[max(4, cell // 3), cell - 2] is not empty")
+        for name in ("height", "width"):
+            size = getattr(self, name)
+            yield name, size > 0 and size % self.cell == 0, \
+                f"be a positive multiple of cell={self.cell}"
+        yield "fill_prob", 0.0 <= self.fill_prob <= 1.0, "lie in [0, 1]"
+        yield "rare_class", 0 <= self.rare_class < self.num_classes, \
+            f"be in [0, num_classes={self.num_classes})"
+        yield "rare_weight", _nonnegative(self.rare_weight), "be finite and >= 0"
+        only_foreground = (self.num_classes, self.rare_class) == (2, 1)
+        yield "rare_weight", self.rare_weight > 0.0 or not only_foreground, \
+            "be > 0 when the rare class is the only foreground class"
+        yield "color_noise", _nonnegative(self.color_noise), "be finite and >= 0"
+        yield "hidden_units", self.hidden_units >= 1, "be >= 1"
+        yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
+        yield "gamma", self.gamma >= 0.0, "be >= 0"
+        yield "lambda_u", self.lambda_u >= 0.0, "be >= 0"
+        yield "lambda_m", self.lambda_m >= 0.0, "be >= 0"
+        yield "threshold_a", 0.0 <= self.threshold_a < 1.0, "lie in [0, 1)"
+        yield "threshold_b", 0.0 < self.threshold_b <= 1.0, "lie in (0, 1]"
+        yield "threshold_d", self.threshold_d >= 0.0, "be >= 0"
+        yield "threshold_t0", 0.0 < self.threshold_t0 <= 1.0, "lie in (0, 1]"
+
+
+def _nonnegative(value: float) -> bool:
+    """Finite and >= 0 by the sign bit, as numpy's own scale check reads it: -0.0 fails too."""
+    return math.isfinite(value) and math.copysign(1.0, value) > 0.0
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}

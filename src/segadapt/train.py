@@ -24,13 +24,7 @@ import numpy as np
 
 from segadapt.autodiff import take_cols
 from segadapt.config import TrainConfig, format_config
-from segadapt.data import (
-    flip_permutation,
-    generate_domain,
-    perturb,
-    pixel_features,
-    scene_spec,
-)
+from segadapt.data import flip_permutation, generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
@@ -90,11 +84,10 @@ def _threshold_state(cfg: TrainConfig) -> ThresholdState:
 
 
 def build_datasets(cfg: TrainConfig):
-    """Source and target scene lists plus the SceneSpec that generated them."""
-    spec = scene_spec(cfg)
-    source = generate_domain(spec, "source", cfg.source_scenes, (cfg.seed, _STREAM_SOURCE_DATA))
-    target = generate_domain(spec, "target", cfg.target_scenes, (cfg.seed, _STREAM_TARGET_DATA))
-    return source, target, spec
+    """Source and target scene lists plus the config that generated them."""
+    source = generate_domain(cfg, "source", cfg.source_scenes, (cfg.seed, _STREAM_SOURCE_DATA))
+    target = generate_domain(cfg, "target", cfg.target_scenes, (cfg.seed, _STREAM_TARGET_DATA))
+    return source, target, cfg
 
 
 def _check_finite(parts: StageLosses, step: int, stage: str) -> float:

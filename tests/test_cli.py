@@ -50,6 +50,17 @@ def test_gen_data_writes_scene_files(tmp_path):
     assert labels.max() < 5
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--cell", "4"], "cell"),
+    (["--count", "0"], "source_scenes"),  # not taken as "no --count"
+], ids=["cell_4", "count_0"])
+def test_gen_data_rejects_a_bad_config_before_writing(tmp_path, flags, field):
+    out = tmp_path / "scenes"
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        main(["gen-data", "--out", str(out), *flags])
+    assert not out.exists()
+
+
 def test_gradcurves_subcommand(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     rc = main(["gradcurves", "--kind", "all", "--p-hat", "0.6", "--gamma", "2",

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import uniform_filter
 
-from segadapt.config import TrainConfig
+from segadapt.config import TrainConfig, make_config
 from segadapt.data import (
+    _BASE_COLORS,
     _HUE_DIRECTION,
     expected_class_fraction,
     flip_permutation,
@@ -14,51 +15,45 @@ from segadapt.data import (
     generate_scene,
     perturb,
     pixel_features,
-    SceneSpec,
-    scene_spec,
 )
 
 
 _TINY = 5e-324  # the smallest positive float
 
 
-def default_spec(**kw):
-    return scene_spec(TrainConfig(**kw))
-
-
 def test_zero_shift_makes_domains_identical():
-    spec = default_spec(shift_hue=0.0, shift_brightness=1.0, shift_noise=0.0)
-    a = generate_scene(spec, "source", np.random.default_rng(5))
-    b = generate_scene(spec, "target", np.random.default_rng(5))
+    cfg = TrainConfig(shift_hue=0.0, shift_brightness=1.0, shift_noise=0.0)
+    a = generate_scene(cfg, "source", np.random.default_rng(5))
+    b = generate_scene(cfg, "target", np.random.default_rng(5))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 def test_same_seed_same_dataset():
-    spec = default_spec()
-    a = generate_domain(spec, "target", 3, 42)
-    b = generate_domain(spec, "target", 3, 42)
+    cfg = TrainConfig()
+    a = generate_domain(cfg, "target", 3, 42)
+    b = generate_domain(cfg, "target", 3, 42)
     for (ia, la), (ib, lb) in zip(a, b):
         assert np.array_equal(ia, ib)
         assert np.array_equal(la, lb)
 
 
 def test_labels_in_range_and_images_clipped():
-    spec = default_spec()
-    image, labels = generate_scene(spec, "target", np.random.default_rng(0))
-    assert labels.min() >= 0 and labels.max() < spec.num_classes
+    cfg = TrainConfig()
+    image, labels = generate_scene(cfg, "target", np.random.default_rng(0))
+    assert labels.min() >= 0 and labels.max() < cfg.num_classes
     assert image.min() >= 0.0 and image.max() <= 1.0
-    assert image.shape == (3, spec.height, spec.width)
+    assert image.shape == (3, cfg.height, cfg.width)
 
 
 def test_class_pixel_frequency_matches_expectation():
     # Monte-Carlo pixel fractions against the closed-form expectation,
     # within 3 standard errors over 100 scenes.
-    spec = default_spec()
-    scenes = generate_domain(spec, "source", 100, 7)
-    expected = expected_class_fraction(spec)
+    cfg = TrainConfig()
+    scenes = generate_domain(cfg, "source", 100, 7)
+    expected = expected_class_fraction(cfg)
     per_scene = np.stack([
-        np.bincount(labels.ravel(), minlength=spec.num_classes) / labels.size
+        np.bincount(labels.ravel(), minlength=cfg.num_classes) / labels.size
         for _, labels in scenes])
     mean = per_scene.mean(axis=0)
     stderr = per_scene.std(axis=0, ddof=1) / np.sqrt(len(scenes))
@@ -149,9 +144,11 @@ def test_perturb_draws_flip_eventually():
 
 def test_generate_scene_rejects_unknown_domain():
     with pytest.raises(ValueError):
-        generate_scene(default_spec(), "other", np.random.default_rng(0))
+        generate_scene(TrainConfig(), "other", np.random.default_rng(0))
 
 
+# every scene check is a row of TrainConfig's table, so the config fails when it is built,
+# by hand, from a file or flags (make_config) or by dataclasses.replace
 @pytest.mark.parametrize("field, overrides", [
     ("num_classes", dict(num_classes=6)),
     ("num_classes", dict(num_classes=1)),
@@ -159,13 +156,13 @@ def test_generate_scene_rejects_unknown_domain():
     ("rare_class", dict(num_classes=3, rare_class=-1)),
     ("height", dict(height=40)),
     ("width", dict(width=70, cell=8)),
-    ("cell", dict(cell=0)),
+    ("cell", dict(cell=0)),  # named before height % cell could divide by zero
     ("cell", dict(cell=4)),
     ("cell", dict(cell=5)),
     ("cell", dict(cell=-16)),
     ("height", dict(height=0)),
     ("width", dict(width=-16)),
-    # numpy's draws rejected these before scene_spec did, without naming the field
+    # numpy's draws rejected these before the config did, without naming the field
     ("rare_weight", dict(rare_weight=-_TINY)),
     ("rare_weight", dict(rare_weight=float("nan"))),
     ("rare_weight", dict(rare_weight=float("inf"))),
@@ -177,8 +174,9 @@ def test_generate_scene_rejects_unknown_domain():
     ("color_noise", dict(color_noise=float("nan"))),
 ])
 def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        default_spec(**overrides)
+    for build in (lambda: TrainConfig(**overrides), lambda: make_config(overrides=overrides)):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            build()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -188,96 +186,72 @@ def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
 ], ids=["rare_weight_zero", "rare_weight_tiny_only_foreground", "color_noise_zero"])
 def test_scene_spec_accepts_the_edges_of_its_ranges(overrides):
     # the just-inside twins of the rejected rare_weight and color_noise rows
-    spec = default_spec(**overrides)
-    for domain in ("source", "target"):
-        image, labels = generate_scene(spec, domain, np.random.default_rng(0))
-        assert np.all(np.isfinite(image)) and labels.max() < spec.num_classes
+    for cfg in (TrainConfig(**overrides), make_config(overrides=overrides)):
+        for domain in ("source", "target"):
+            image, labels = generate_scene(cfg, domain, np.random.default_rng(0))
+            assert np.all(np.isfinite(image)) and labels.max() < cfg.num_classes
 
 
-_WEIGHTS = np.array([0.0, 0.25, 0.25, 0.25, 0.25])  # five classes, as the default spec has
-_RANGES = ((5, 14), (5, 14), (5, 14), (5, 14), (5, 8))
+@pytest.mark.parametrize("value", [-_TINY, -0.0, float("nan"), float("inf")],
+                         ids=["noise_negative_tiny", "noise_negative_zero", "noise_nan",
+                              "noise_inf"])
+def test_scene_spec_checks_its_fields_when_replaced(value):
+    # dataclasses.replace runs __post_init__, so a replaced config fails before any draw
+    with pytest.raises(ValueError, match="^color_noise must"):
+        dataclasses.replace(TrainConfig(), color_noise=value)
 
 
-@pytest.mark.parametrize("field, overrides", [
-    ("class_weights", dict(class_weights=_WEIGHTS[1:] / _WEIGHTS[1:].sum())),
-    ("class_weights", dict(class_weights=_WEIGHTS[None, :])),
-    ("class_weights", dict(class_weights=_WEIGHTS + [np.nan, 0, 0, 0, 0])),
-    ("class_weights", dict(class_weights=_WEIGHTS + [np.inf, 0, 0, 0, 0])),
-    ("class_weights", dict(class_weights=_WEIGHTS + [-_TINY, 0, 0, 0, 0])),
-    ("class_weights", dict(class_weights=_WEIGHTS + [2e-9, 0, 0, 0, 0])),
-    ("class_weights", dict(class_weights=_WEIGHTS * 6.1)),
-    ("size_ranges", dict(size_ranges=_RANGES[:4])),
-    ("size_ranges", dict(size_ranges=_RANGES[:4] + ((5, 8, 1),))),
-    ("color_noise", dict(color_noise=-_TINY)),
-    ("color_noise", dict(color_noise=-0.0)),
-    ("color_noise", dict(color_noise=float("nan"))),
-    ("color_noise", dict(color_noise=float("inf"))),
-], ids=["weights_short", "weights_2d", "weights_nan", "weights_inf", "weights_negative",
-        "weights_sum_off_2e-9", "weights_sum_6.1", "ranges_short", "ranges_triple",
-        "noise_negative_tiny", "noise_negative_zero", "noise_nan", "noise_inf"])
-def test_scene_spec_checks_its_fields_when_replaced(field, overrides):
-    # dataclasses.replace runs __post_init__, so a hand-made spec fails before any draw
-    with pytest.raises(ValueError, match=f"^{field} must"):
-        dataclasses.replace(default_spec(), **overrides)
-
-
-@pytest.mark.parametrize("overrides", [
-    dict(class_weights=list(_WEIGHTS)),
-    dict(class_weights=_WEIGHTS + [0.5e-9, 0, 0, 0, 0]),
-    dict(size_ranges=tuple(list(pair) for pair in _RANGES)),
-    dict(color_noise=_TINY),
-], ids=["weights_list_with_a_zero", "weights_sum_off_half_e-9", "ranges_lists",
-        "noise_tiny"])
+@pytest.mark.parametrize("overrides", [dict(color_noise=_TINY)], ids=["noise_tiny"])
 def test_scene_spec_accepts_the_edges_of_its_field_checks(overrides):
-    # the just-inside twins of the rows above
-    spec = dataclasses.replace(default_spec(), **overrides)
-    image, labels = generate_scene(spec, "source", np.random.default_rng(0))
-    assert np.all(np.isfinite(image)) and labels.max() < spec.num_classes
-
-
-def test_default_scene_spec_names_its_empty_class_weights():
-    # the bare defaults carry no weights: the spec fails when built, not in generate_scene
-    with pytest.raises(ValueError, match="^class_weights must"):
-        SceneSpec()
+    # the just-inside twin of the rows above
+    cfg = dataclasses.replace(TrainConfig(), **overrides)
+    image, labels = generate_scene(cfg, "source", np.random.default_rng(0))
+    assert np.all(np.isfinite(image)) and labels.max() < cfg.num_classes
 
 
 def test_generated_scene_takes_a_float64_image_and_a_uint8_label_map():
-    spec = default_spec()
-    image, labels = generate_scene(spec, "target", np.random.default_rng(0))
-    h, w = spec.height, spec.width
+    cfg = TrainConfig()
+    image, labels = generate_scene(cfg, "target", np.random.default_rng(0))
+    h, w = cfg.height, cfg.width
     assert labels.dtype == np.uint8 and labels.shape == (h, w)
     assert image.nbytes + labels.nbytes == 3 * h * w * 8 + h * w
 
 
 def test_smallest_cell_generates_scenes():
-    spec = default_spec(cell=6, height=36, width=36)
-    scenes = generate_domain(spec, "source", 5, 0)
+    cfg = TrainConfig(cell=6, height=36, width=36)
+    scenes = generate_domain(cfg, "source", 5, 0)
     assert all(image.shape == (3, 36, 36) for image, _ in scenes)
     assert any(labels.any() for _, labels in scenes)
 
 
-def _generate_scene_by_choice_and_normal(spec, domain, rng):
+def _generate_scene_by_choice_and_normal(cfg, domain, rng):
     """``generate_scene`` through ``rng.choice`` and ``rng.normal``, kept as its reference."""
-    labels = np.zeros((spec.height, spec.width), dtype=np.int64)
-    classes = np.arange(spec.num_classes)
-    for top in range(0, spec.height - spec.cell + 1, spec.cell):
-        for left in range(0, spec.width - spec.cell + 1, spec.cell):
-            if rng.random() >= spec.fill_prob:
+    c = cfg.num_classes
+    weights = np.ones(c)
+    weights[0] = 0.0  # background is never placed explicitly
+    weights[cfg.rare_class] = cfg.rare_weight
+    lo, hi = max(4, cfg.cell // 3), cfg.cell - 2
+    rare_sides = (lo, max(lo + 1, cfg.cell // 2))  # rare shapes are also small
+    size_ranges = [rare_sides if k == cfg.rare_class else (lo, hi) for k in range(c)]
+    labels = np.zeros((cfg.height, cfg.width), dtype=np.int64)
+    for top in range(0, cfg.height - cfg.cell + 1, cfg.cell):
+        for left in range(0, cfg.width - cfg.cell + 1, cfg.cell):
+            if rng.random() >= cfg.fill_prob:
                 continue
-            c = int(rng.choice(classes, p=spec.class_weights))
-            lo, hi = spec.size_ranges[c]
-            rh = int(rng.integers(lo, hi + 1))
-            rw = int(rng.integers(lo, hi + 1))
-            dy = int(rng.integers(0, spec.cell - rh + 1))
-            dx = int(rng.integers(0, spec.cell - rw + 1))
-            labels[top + dy:top + dy + rh, left + dx:left + dx + rw] = c
-    image = spec.colors[labels].transpose(2, 0, 1).astype(np.float64)
-    image = image + rng.normal(0.0, spec.color_noise, size=image.shape)
+            k = int(rng.choice(np.arange(c), p=weights / weights.sum()))
+            side_lo, side_hi = size_ranges[k]
+            rh = int(rng.integers(side_lo, side_hi + 1))
+            rw = int(rng.integers(side_lo, side_hi + 1))
+            dy = int(rng.integers(0, cfg.cell - rh + 1))
+            dx = int(rng.integers(0, cfg.cell - rw + 1))
+            labels[top + dy:top + dy + rh, left + dx:left + dx + rw] = k
+    image = _BASE_COLORS[:c][labels].transpose(2, 0, 1).astype(np.float64)
+    image = image + rng.normal(0.0, cfg.color_noise, size=image.shape)
     if domain == "target":
-        image = image * spec.shift_brightness
-        image = image + (spec.shift_hue * _HUE_DIRECTION)[:, None, None]
-        if spec.shift_noise > 0.0:
-            image = image + rng.normal(0.0, spec.shift_noise, size=image.shape)
+        image = image * cfg.shift_brightness
+        image = image + (cfg.shift_hue * _HUE_DIRECTION)[:, None, None]
+        if cfg.shift_noise > 0.0:
+            image = image + rng.normal(0.0, cfg.shift_noise, size=image.shape)
     return np.clip(image, 0.0, 1.0), labels
 
 
@@ -290,12 +264,12 @@ def _generate_scene_by_choice_and_normal(spec, domain, rng):
 ], ids=["default", "two_classes", "no_shift_noise", "no_color_noise", "cell_6"])
 @pytest.mark.parametrize("domain", ["source", "target"])
 def test_generate_scene_keeps_the_bytes_of_choice_and_normal(overrides, domain):
-    spec = default_spec(**overrides)
+    cfg = TrainConfig(**overrides)
     for seed in (0, 1):
-        got = generate_domain(spec, domain, 8, seed)
+        got = generate_domain(cfg, domain, 8, seed)
         rng = np.random.default_rng(seed)
         for image, labels in got:
-            ref_image, ref_labels = _generate_scene_by_choice_and_normal(spec, domain, rng)
+            ref_image, ref_labels = _generate_scene_by_choice_and_normal(cfg, domain, rng)
             assert image.dtype == np.float64 and image.flags.c_contiguous
             assert image.tobytes() == ref_image.tobytes()
             # the reference keeps int64 labels; the generator stores them as uint8

@@ -109,6 +109,11 @@ _BELOW_ONE, _ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 
     ("threshold_t0", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
 ], ids=["threshold_a", "threshold_b", "threshold_d", "threshold_t0"])
 def test_config_checks_the_threshold_fields_naming_the_field(field, inside, outside):
+    _assert_range(field, inside, outside)
+
+
+def _assert_range(field, inside, outside):
+    """Each inside value builds, each outside value fails naming ``field``, both ways."""
     for value in inside:
         assert getattr(TrainConfig(**{field: value}), field) == value
         assert getattr(make_config(overrides={field: repr(value)}), field) == value
@@ -117,6 +122,20 @@ def test_config_checks_the_threshold_fields_naming_the_field(field, inside, outs
                       lambda: make_config(overrides={field: repr(value)})):
             with pytest.raises(ValueError, match=f"^{field} must"):
                 build()
+
+
+# scene counts >= 1, fill_prob in [0, 1], hidden_units >= 1: outside these numpy fails
+# without naming the field (high <= 0), a NaN fill_prob fills every cell, and 0 hidden
+# units leave the model no hidden layer
+@pytest.mark.parametrize("field, inside, outside", [
+    ("source_scenes", [1], [0]),
+    ("target_scenes", [1], [0]),
+    ("fill_prob", [0.0, 1.0], [float("nan"), -_TINY, 1.5]),
+    ("hidden_units", [1], [0]),
+], ids=["source_scenes", "target_scenes", "fill_prob", "hidden_units"])
+def test_config_checks_the_count_and_probability_fields_naming_the_field(field, inside,
+                                                                          outside):
+    _assert_range(field, inside, outside)
 
 
 # --------------------------------------------------------------------- model
