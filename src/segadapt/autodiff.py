@@ -326,12 +326,8 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     np.exp(out, out=out)
     out /= out.sum(axis=0, keepdims=True)
 
-    needs_hidden_flow = x.requires_grad or w1.requires_grad or b1.requires_grad
-
     def flows(g):
         g_z = out * (g - (g * out).sum(axis=0, keepdims=True))
-        if not needs_hidden_flow:
-            return g_z, None
         g_a = w2.data @ g_z
         d = h * h
         np.subtract(1.0, d, out=d)

@@ -43,7 +43,6 @@ class TrainConfig:
     pretrain_steps: int = 400
     stage1_steps: int = 1600
     stage2_steps: int = 1600
-    batch_pixels: int = 0  # 0 = use every pixel of the step's images
     # loss weights
     gamma: float = 2.0
     lambda_u: float = 0.05
@@ -120,9 +119,12 @@ def _coerce(name: str, raw: str):
     if name not in _FIELDS:
         raise KeyError(f"unknown config key: {name!r}")
     raw = raw.strip()
-    if _FIELDS[name].type == "int":
-        return int(raw)
-    return float(raw)
+    is_int = _FIELDS[name].type == "int"
+    try:
+        return int(raw) if is_int else float(raw)
+    except ValueError:
+        kind = "an int" if is_int else "a number"
+        raise ValueError(f"{name} must be {kind}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:

@@ -29,7 +29,6 @@ if TYPE_CHECKING:  # segadapt.config reads _BASE_COLORS from here
     from segadapt.config import TrainConfig
 
 __all__ = [
-    "generate_scene",
     "generate_domain",
     "expected_class_fraction",
     "pixel_features",
@@ -91,18 +90,13 @@ def expected_class_fraction(cfg: TrainConfig) -> np.ndarray:
     return frac
 
 
-def generate_scene(cfg: TrainConfig, domain: str, rng: np.random.Generator):
-    """One procedurally generated scene: float64 image (3, H, W) and exact uint8 labels (H, W).
-
-    The draws are those of ``rng.choice(classes, p=weights)`` and
-    ``rng.normal(0, s, shape)``, in their order, without the wrappers: the
-    class is numpy's own table lookup, and ``0 + s*z`` has the bits of ``s*z``.
-    """
-    return _draw_scene(cfg, domain, rng, *_scene_tables(cfg))
-
-
 def generate_domain(cfg: TrainConfig, domain: str, n: int, seed) -> list:
-    """Deterministic list of ``n`` scenes for one domain."""
+    """Deterministic list of ``n`` scenes for one domain, all drawn from one rng.
+
+    A scene is a float64 image (3, H, W) and its exact uint8 labels (H, W).
+    """
+    if domain not in ("source", "target"):
+        raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
     rng = np.random.default_rng(seed)
     tables = _scene_tables(cfg)  # once per domain, not once per scene
     return [_draw_scene(cfg, domain, rng, *tables) for _ in range(n)]
@@ -110,8 +104,11 @@ def generate_domain(cfg: TrainConfig, domain: str, n: int, seed) -> list:
 
 def _draw_scene(cfg: TrainConfig, domain: str, rng: np.random.Generator, cdf, size_ranges,
                 colors):
-    if domain not in ("source", "target"):
-        raise ValueError(f"domain must be 'source' or 'target', got {domain!r}")
+    """One scene with the draws of ``rng.choice(classes, p=weights)`` and ``rng.normal``.
+
+    The draws come in their order, without the wrappers: the class is
+    numpy's own table lookup, and ``0 + s*z`` has the bits of ``s*z``.
+    """
     cell = cfg.cell
     labels = np.zeros((cfg.height, cfg.width), dtype=np.uint8)
     for top in range(0, cfg.height - cell + 1, cell):

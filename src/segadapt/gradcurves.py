@@ -17,6 +17,7 @@ gradient from the curve whose ``p_hat`` equals that pixel's ``p``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
     """Grid argmin refined by golden-section search between its neighbors."""
     if not curve_obj.samples:
         raise ValueError("curve is empty")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     ps = [s.p for s in curve_obj.samples]
     losses = [s.loss for s in curve_obj.samples]
     i = int(np.argmin(losses))
@@ -118,7 +121,9 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = value(c), value(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:  # a tol below the float spacing stops once [a, b] stalls
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -10,14 +10,22 @@ __all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou"]
 
 
 def confusion_matrix(predicted, truth, num_classes: int) -> np.ndarray:
-    """(C, C) counts with rows = truth, columns = prediction; IGNORE skipped.
+    """(C, C) counts with rows = truth, columns = prediction; IGNORE truth skipped.
 
-    The bin index is computed in intp, so uint8 label maps do not wrap.
+    The bin index is computed in intp, so uint8 label maps do not wrap.  A
+    label outside [0, C) would be counted in another row, so it raises.
     """
     predicted = np.asarray(predicted).ravel()
     truth = np.asarray(truth).ravel()
     keep = truth != IGNORE_LABEL
-    index = truth[keep].astype(np.intp) * num_classes + predicted[keep]
+    truth, predicted = truth[keep], predicted[keep]
+    if truth.size and not (truth.max() < num_classes and truth.min() >= 0
+                           and predicted.max() < num_classes and predicted.min() >= 0):
+        bad = {name: np.unique(labels[(labels < 0) | (labels >= num_classes)]).tolist()
+               for name, labels in (("truth", truth), ("predicted", predicted))}
+        raise ValueError(f"labels outside [0, {num_classes}): "
+                         + ", ".join(f"{name} {v}" for name, v in bad.items() if v))
+    index = truth.astype(np.intp) * num_classes + predicted
     counts = np.bincount(index, minlength=num_classes * num_classes)
     return counts.reshape(num_classes, num_classes)
 

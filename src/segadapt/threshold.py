@@ -31,22 +31,21 @@ class ThresholdState:
     """Per-class thresholds plus the EMA parameters driving their updates.
 
     ``a`` is the historical memory, ``b`` the global kept proportion, ``d``
-    the regularization exponent, ``t0`` the initial threshold.
+    the regularization exponent; ``initial`` starts every class at ``t0``.
 
     One updater at a time (the training loop) mutates ``alpha``; readers may
     snapshot it between steps.
     """
 
     alpha: np.ndarray
-    a: float = 0.9
-    b: float = 0.8
-    d: float = 8.0
-    t0: float = 0.8
+    a: float
+    b: float
+    d: float
 
     @classmethod
     def initial(cls, num_classes: int, a: float = 0.9, b: float = 0.8,
                 d: float = 8.0, t0: float = 0.8) -> "ThresholdState":
-        return cls(alpha=np.full(num_classes, t0, dtype=np.float64), a=a, b=b, d=d, t0=t0)
+        return cls(alpha=np.full(num_classes, t0, dtype=np.float64), a=a, b=b, d=d)
 
     @property
     def num_classes(self) -> int:

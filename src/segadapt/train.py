@@ -57,7 +57,6 @@ _STREAM_STAGE2 = 6
 _STREAM_STAGE2_PERTURB = 7
 _STREAM_PASTE = 8
 _STREAM_MIX = 9
-_STREAM_BATCH = 10
 
 
 class TrainingDiverged(RuntimeError):
@@ -146,12 +145,6 @@ def _target_branches(model, feats_t, image_t, rng_perturb, cfg):
     return p_hat, p_star
 
 
-def _subsample(cfg, rng_batch, n):
-    if cfg.batch_pixels <= 0 or cfg.batch_pixels >= n:
-        return None
-    return rng_batch.permutation(n)[:cfg.batch_pixels]
-
-
 def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_labels,
                rng_paste, rng_mix):
     """Long-tail paste into ``source_pair``, then splice it onto the target image."""
@@ -172,7 +165,7 @@ def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
     """Stage-two adaptation with mixed samples; returns model and log.
 
     The optimized model restarts from the source-pretrained weights while the
-    frozen stage-one model produces the pseudo labels.
+    frozen stage-one model labels every target scene once, before the loop.
     """
     return _adaptation_loop(cfg, source_model.clone(), datasets, "stage2", cfg.stage2_steps,
                             cfg.stage2_lr, _rng(cfg, _STREAM_STAGE2),
@@ -190,14 +183,12 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
     labels_s = [labels.ravel() for _, labels in source]
     feats_t = [_features(model, img) for img, _ in target]
 
-    rng_batch = _rng(cfg, _STREAM_BATCH)
     if pseudo_model is not None:
         rng_paste = _rng(cfg, _STREAM_PASTE)
         rng_mix = _rng(cfg, _STREAM_MIX)
         db = build_category_db(source, cfg.num_classes)
-        pseudo_cache: dict[int, np.ndarray] = {}
+        pseudo = [pseudo_labels(img, pseudo_model) for img, _ in target]
 
-    n_pixels = cfg.height * cfg.width
     for step in range(steps):
         s_idx = int(rng_pick.integers(len(source)))
         t_idx = int(rng_pick.integers(len(target)))
@@ -211,20 +202,13 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
         update(state, confidence, arg_labels)
         mask = adaptive_mask(confidence, arg_labels, state.alpha)
 
-        cols = _subsample(cfg, rng_batch, n_pixels)
-        if cols is not None:
-            p_s, y_s = take_cols(p_s, cols), y_s[cols]
-            p_hat, p_star, mask = take_cols(p_hat, cols), take_cols(p_star, cols), mask[cols]
-
         if pseudo_model is None:
             parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
         else:
             d_idx = int(rng_pick.integers(len(source)))
             m_idx = int(rng_pick.integers(len(target)))
-            if m_idx not in pseudo_cache:
-                pseudo_cache[m_idx] = pseudo_labels(target[m_idx][0], pseudo_model)
             mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
-                               pseudo_cache[m_idx], rng_paste, rng_mix)
+                               pseudo[m_idx], rng_paste, rng_mix)
             p_m = model.prob_map(_features(model, mixed.image))
             parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
                                 mixed.labels.ravel(), mixed.weights.ravel(), cfg)

@@ -322,7 +322,7 @@ def test_criterion_5_threshold_mechanics():
     low_conf = np.linspace(0.3, 0.799, 10_000)
     labels = np.zeros(low_conf.size, dtype=int)
     relief_state = ThresholdState.initial(1)
-    none_fixed = not fixed_mask(low_conf, relief_state.t0).any()
+    none_fixed = not fixed_mask(low_conf, relief_state.alpha[0]).any()  # alpha starts at t0
     update(relief_state, low_conf, labels)
     some_adaptive = adaptive_mask(low_conf, labels, relief_state.alpha).sum() > 0
 

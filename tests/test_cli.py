@@ -140,3 +140,10 @@ def test_unknown_config_key_fails_cleanly(tmp_path):
     cfg_file.write_text("bogus = 1\n")
     with pytest.raises(KeyError):
         main(["gen-data", "--config", str(cfg_file), "--out", str(tmp_path / "x")])
+
+
+def test_malformed_flag_value_fails_naming_the_field(tmp_path):
+    out = tmp_path / "x"
+    with pytest.raises(ValueError, match="^gamma must be a number, got 'two'$"):
+        main(["gen-data", "--out", str(out), "--gamma", "two"])
+    assert not out.exists()

@@ -12,7 +12,6 @@ from segadapt.data import (
     expected_class_fraction,
     flip_permutation,
     generate_domain,
-    generate_scene,
     perturb,
     pixel_features,
 )
@@ -23,8 +22,8 @@ _TINY = 5e-324  # the smallest positive float
 
 def test_zero_shift_makes_domains_identical():
     cfg = TrainConfig(shift_hue=0.0, shift_brightness=1.0, shift_noise=0.0)
-    a = generate_scene(cfg, "source", np.random.default_rng(5))
-    b = generate_scene(cfg, "target", np.random.default_rng(5))
+    a = generate_domain(cfg, "source", 1, 5)[0]
+    b = generate_domain(cfg, "target", 1, 5)[0]
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -40,7 +39,7 @@ def test_same_seed_same_dataset():
 
 def test_labels_in_range_and_images_clipped():
     cfg = TrainConfig()
-    image, labels = generate_scene(cfg, "target", np.random.default_rng(0))
+    image, labels = generate_domain(cfg, "target", 1, 0)[0]
     assert labels.min() >= 0 and labels.max() < cfg.num_classes
     assert image.min() >= 0.0 and image.max() <= 1.0
     assert image.shape == (3, cfg.height, cfg.width)
@@ -143,8 +142,9 @@ def test_perturb_draws_flip_eventually():
 
 
 def test_generate_scene_rejects_unknown_domain():
-    with pytest.raises(ValueError):
-        generate_scene(TrainConfig(), "other", np.random.default_rng(0))
+    for n in (1, 0):  # checked once per call, before any scene is drawn
+        with pytest.raises(ValueError, match="^domain must be"):
+            generate_domain(TrainConfig(), "other", n, 0)
 
 
 # every scene check is a row of TrainConfig's table, so the config fails when it is built,
@@ -188,7 +188,7 @@ def test_scene_spec_accepts_the_edges_of_its_ranges(overrides):
     # the just-inside twins of the rejected rare_weight and color_noise rows
     for cfg in (TrainConfig(**overrides), make_config(overrides=overrides)):
         for domain in ("source", "target"):
-            image, labels = generate_scene(cfg, domain, np.random.default_rng(0))
+            image, labels = generate_domain(cfg, domain, 1, 0)[0]
             assert np.all(np.isfinite(image)) and labels.max() < cfg.num_classes
 
 
@@ -205,13 +205,13 @@ def test_scene_spec_checks_its_fields_when_replaced(value):
 def test_scene_spec_accepts_the_edges_of_its_field_checks(overrides):
     # the just-inside twin of the rows above
     cfg = dataclasses.replace(TrainConfig(), **overrides)
-    image, labels = generate_scene(cfg, "source", np.random.default_rng(0))
+    image, labels = generate_domain(cfg, "source", 1, 0)[0]
     assert np.all(np.isfinite(image)) and labels.max() < cfg.num_classes
 
 
 def test_generated_scene_takes_a_float64_image_and_a_uint8_label_map():
     cfg = TrainConfig()
-    image, labels = generate_scene(cfg, "target", np.random.default_rng(0))
+    image, labels = generate_domain(cfg, "target", 1, 0)[0]
     h, w = cfg.height, cfg.width
     assert labels.dtype == np.uint8 and labels.shape == (h, w)
     assert image.nbytes + labels.nbytes == 3 * h * w * 8 + h * w
@@ -225,7 +225,7 @@ def test_smallest_cell_generates_scenes():
 
 
 def _generate_scene_by_choice_and_normal(cfg, domain, rng):
-    """``generate_scene`` through ``rng.choice`` and ``rng.normal``, kept as its reference."""
+    """One scene of ``generate_domain`` through ``rng.choice`` and ``rng.normal``, its reference."""
     c = cfg.num_classes
     weights = np.ones(c)
     weights[0] = 0.0  # background is never placed explicitly

@@ -69,6 +69,21 @@ def test_uint8_truth_counts_as_int64_truth_does(num_classes):
     assert np.array_equal(confusion_matrix(pred, truth.astype(np.uint8), num_classes), brute)
 
 
+def test_out_of_range_labels_raise_naming_them():
+    # at C=3 a prediction of 3 with truth 0 has bin index 3, the cell (1, 0)
+    truth = np.zeros(3, dtype=np.uint8)
+    with pytest.raises(ValueError, match=r"^labels outside \[0, 3\): predicted \[3, 4\]$"):
+        confusion_matrix(np.array([3, 4, 0]), truth, 3)
+    with pytest.raises(ValueError, match=r"predicted \[-1\]$"):
+        confusion_matrix(np.array([-1, 0, 0]), truth, 3)
+    with pytest.raises(ValueError, match=r": truth \[9\], predicted \[7\]$"):
+        confusion_matrix(np.array([7, 0, 0]), np.array([9, 0, 0]), 3)
+    # IGNORE truth stays allowed, and so does any prediction at its pixels
+    ignored = np.array([IGNORE_LABEL, 0, 2], dtype=np.uint8)
+    assert confusion_matrix(np.array([200, 0, 2]), ignored, 3).tolist() == [
+        [1, 0, 0], [0, 0, 0], [0, 0, 1]]
+
+
 def test_evaluate_miou_accumulates_over_scenes():
     labels = np.zeros((4, 4), dtype=int)
     labels[:2] = 1

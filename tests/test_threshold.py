@@ -201,7 +201,7 @@ def test_hard_class_relief_after_one_update():
     conf = np.linspace(0.3, 0.799, 10_000)
     labels = np.zeros(conf.size, dtype=int)
     state = ThresholdState.initial(1)
-    assert not fixed_mask(conf, state.t0).any()
+    assert not fixed_mask(conf, state.alpha[0]).any()  # alpha starts at t0
     update(state, conf, labels)
     relieved = adaptive_mask(conf, labels, state.alpha)
     assert relieved.sum() > 0

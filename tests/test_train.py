@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,22 @@ def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("not_a_field = 1\n")
     with pytest.raises(KeyError):
+        parse_config_file(path)
+
+
+@pytest.mark.parametrize("field, raw, kind", [
+    ("gamma", "abc", "a number"),
+    ("gamma", "", "a number"),
+    ("seed", "0.5", "an int"),
+    ("stage1_steps", "1e3", "an int"),
+], ids=["number_abc", "number_empty", "int_half", "int_exponent"])
+def test_config_names_the_field_of_a_malformed_value(tmp_path, field, raw, kind):
+    message = "^" + re.escape(f"{field} must be {kind}, got {raw!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        make_config(overrides={field: raw})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{field} = {raw}\n")
+    with pytest.raises(ValueError, match=message):
         parse_config_file(path)
 
 
@@ -430,12 +447,3 @@ def test_write_iou_csv_writes_nan_for_a_class_without_pixels(tmp_path):
     path = tmp_path / "ious.csv"
     write_iou_csv(path, np.array([0.5, np.nan, 0.25]), 0.375)
     assert path.read_text() == "class_id,iou\n0,0.5\n1,nan\n2,0.25\nmean,0.375\n"
-
-
-def test_batch_pixel_subsampling_still_trains():
-    cfg = TrainConfig(**{**SMALL, "batch_pixels": 256, "stage1_steps": 50})
-    source, target, _ = build_datasets(cfg)
-    base = pretrain_source(cfg, source)
-    model, log = train_stage1(cfg, datasets=(source, target), init_model=base)
-    assert len(log.metrics) == 50
-    assert all(np.isfinite(row[4]) for row in log.metrics)
