@@ -139,7 +139,10 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = text.split("=", 1)
             key = key.strip()
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _coerce(key, raw)
+            except (KeyError, ValueError) as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc.args[0]}") from None
     return values
 
 

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from segadapt.autodiff import Tensor, concat
-from segadapt.losses import (
-    maximum_square_loss,
-    shannon_entropy_loss,
-    unsupervised_focal_loss,
-)
+from segadapt.losses import (EPSILON, _adjusted_kl_terms, _check_probmap, _entropy_terms,
+                             _max_square_terms)
+# bench/layers.py wraps these three by name in this module and raises on a missing one
+from segadapt.losses import (maximum_square_loss, shannon_entropy_loss,  # noqa: F401
+                             unsupervised_focal_loss)
 from segadapt.netpbm import write_csv
 
 __all__ = [
@@ -50,8 +50,6 @@ GRID_POINTS = 1999
 GRID_LO = 0.0005
 GRID_HI = 0.9995
 
-_FULL_MASK = np.array([True])
-
 
 @dataclass
 class CurveSample:
@@ -68,36 +66,38 @@ class Curve:
     samples: list
 
 
-def _evaluate(kind: str, p_value: float, p_hat: float, gamma: float):
-    """Loss and d(loss)/dp at one grid point, via the real loss functions."""
-    leaf = Tensor(np.array([[p_value]]), requires_grad=True)
-    dist = concat([leaf, 1.0 - leaf], axis=0)  # learnable (p, 1-p), shape (2, 1)
-    if kind == "shannon":
-        loss = shannon_entropy_loss(dist, _FULL_MASK)
-    elif kind == "maxsquare":
-        loss = maximum_square_loss(dist, _FULL_MASK)
-    elif kind == "focal":
-        estimate = Tensor(np.array([[p_hat], [1.0 - p_hat]]))
-        loss = unsupervised_focal_loss(estimate, dist, _FULL_MASK, gamma)
+def _points(kind: str, ps: np.ndarray, p_hat: float, gamma: float):
+    """Loss and d(loss)/dp at each ``p`` of ``ps``, from one (2, n) graph and one backward.
+
+    Bits match one-pixel graphs: ``sum()`` sends each point 1, a one-pixel mean is ``0.0 + term``.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown loss kind: {kind!r} (choose from {KINDS})")
+    leaf = Tensor(ps[None, :], requires_grad=True)
+    dist = concat([leaf, 1.0 - leaf], axis=0)  # learnable (p, 1-p), one column per point
+    if kind == "focal":
+        estimate = Tensor(np.repeat([[p_hat], [1.0 - p_hat]], ps.size, axis=1))
+        _check_probmap(estimate, EPSILON, gamma)
+        terms = _adjusted_kl_terms(estimate, dist, gamma, EPSILON)
+        loss = (0.0 + _entropy_terms(estimate, EPSILON).data.astype(np.float64)
+                + (0.0 + terms.data.astype(np.float64)))
     else:
-        raise ValueError(f"unknown loss kind: {kind!r}")
-    loss.backward()
-    return loss.item(), float(leaf.grad[0, 0])
+        terms = _entropy_terms(dist, EPSILON) if kind == "shannon" else _max_square_terms(dist)
+        loss = 0.0 + terms.data  # the -0.0 entropy at p = 0 or 1 reads 0.0, as in a mean
+    terms.sum().backward()
+    return loss, leaf.grad[0]
 
 
 def curve(kind: str, p_hat: float = 0.6, gamma: float = 2.0,
           grid: int = GRID_POINTS, lo: float = GRID_LO, hi: float = GRID_HI) -> Curve:
     """Sample one loss over a grid of learnable probabilities."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown loss kind: {kind!r} (choose from {KINDS})")
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
     if not 0.0 < p_hat < 1.0:
         raise ValueError("p_hat must lie strictly inside (0, 1)")
-    samples = []
-    for p in np.linspace(lo, hi, grid):
-        loss, grad = _evaluate(kind, float(p), p_hat, gamma)
-        samples.append(CurveSample(p=float(p), loss=loss, grad=grad))
+    ps = np.linspace(lo, hi, grid)
+    loss, grad = _points(kind, ps, p_hat, gamma)
+    samples = [CurveSample(*row) for row in zip(ps.tolist(), loss.tolist(), grad.tolist())]
     return Curve(kind=kind, p_hat=p_hat, gamma=gamma, samples=samples)
 
 
@@ -114,7 +114,7 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
     hi = ps[min(i + 1, len(ps) - 1)]
 
     def value(p):
-        return _evaluate(curve_obj.kind, p, curve_obj.p_hat, curve_obj.gamma)[0]
+        return _points(curve_obj.kind, np.array([p]), curve_obj.p_hat, curve_obj.gamma)[0][0]
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -34,9 +34,12 @@ from segadapt.autodiff import Tensor, make_node
 from segadapt.config import TrainConfig
 
 IGNORE_LABEL = 255
+# the default clamp floor of every probability that enters a logarithm
+EPSILON = 1e-8
 
 __all__ = [
     "IGNORE_LABEL",
+    "EPSILON",
     "StageLosses",
     "shannon_entropy_loss",
     "adjusted_kl_loss",
@@ -136,7 +139,7 @@ def _max_square_terms(p: Tensor) -> Tensor:
     return make_node(-(a * a).sum(axis=0) * 0.5, (p,), (vjp,))
 
 
-def _check_probmap(p: Tensor, epsilon: float = 1e-8, gamma: float = 0.0) -> None:
+def _check_probmap(p: Tensor, epsilon: float = EPSILON, gamma: float = 0.0) -> None:
     """A class axis plus pixel axes, and the parameters outside which the terms give NaN."""
     if p.data.ndim < 2:
         raise ValueError(f"probability map needs a class axis plus pixel axes, got shape {p.shape}")
@@ -167,14 +170,14 @@ def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, n
     return ((labels == classes) & valid).astype(dtype), valid
 
 
-def shannon_entropy_loss(p: Tensor, mask, epsilon: float = 1e-8) -> Tensor:
+def shannon_entropy_loss(p: Tensor, mask, epsilon: float = EPSILON) -> Tensor:
     """Masked mean over pixels of the per-pixel Shannon entropy of ``p``."""
     _check_probmap(p, epsilon)
     return _entropy_terms(p, epsilon).masked_mean(mask)
 
 
 def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
-                     epsilon: float = 1e-8) -> Tensor:
+                     epsilon: float = EPSILON) -> Tensor:
     """Masked mean of ``sum_c p_hat (log p_hat - (1 - p_star)**gamma log p_star)``.
 
     ``p_hat`` is the soft pseudo label and must be detached: gradient flows
@@ -188,7 +191,7 @@ def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
 
 
 def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
-                            epsilon: float = 1e-8) -> Tensor:
+                            epsilon: float = EPSILON) -> Tensor:
     """Shannon entropy of the weak branch plus the adjusted KL divergence.
 
     The Shannon term backpropagates into ``p_hat``; the KL term sees ``p_hat``
@@ -200,14 +203,14 @@ def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
             + adjusted_kl_loss(p_hat.detach(), p_star, mask, gamma, epsilon))
 
 
-def supervised_ce_loss(p: Tensor, labels, epsilon: float = 1e-8) -> Tensor:
+def supervised_ce_loss(p: Tensor, labels, epsilon: float = EPSILON) -> Tensor:
     """Mean over non-IGNORE pixels of ``-log p[label]``."""
     _check_probmap(p, epsilon)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     return _cross_entropy_terms(p, onehot, epsilon).masked_mean(valid)
 
 
-def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8) -> Tensor:
+def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = EPSILON) -> Tensor:
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
     _check_probmap(p, epsilon, gamma)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
@@ -216,7 +219,7 @@ def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = 1e-8
 
 
 def focal_decomposition_check(y_onehot, p: Tensor, gamma: float,
-                              epsilon: float = 1e-8) -> tuple[float, float]:
+                              epsilon: float = EPSILON) -> tuple[float, float]:
     """Evaluate the focal loss two ways for an exactly one-hot label map.
 
     Returns ``(supervised focal value, shannon(y) + adjusted KL(y, p) value)``.
@@ -241,7 +244,7 @@ def maximum_square_loss(p: Tensor, mask) -> Tensor:
     return _max_square_terms(p).masked_mean(mask)
 
 
-def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = 1e-8) -> Tensor:
+def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = EPSILON) -> Tensor:
     """Pixel-weighted cross entropy: ``sum w * (-log p[label]) / sum w``.
 
     Weight 2 marks pixels near mix-mask boundaries, 1 elsewhere; IGNORE pixels

@@ -166,7 +166,7 @@ def one_pixel_graph(kind, p, p_hat, gamma):
     return loss.item(), float(leaf.grad[0, 0])
 
 
-@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("kind", KINDS)
 def test_curve_points_equal_one_pixel_graphs(kind, gamma):
     p_hat = 0.7
@@ -177,4 +177,31 @@ def test_curve_points_equal_one_pixel_graphs(kind, gamma):
     for i in (0, len(ps) - 1, half, near - 1, near, near + 1):
         s = c.samples[i]
         assert (s.loss, s.grad) == one_pixel_graph(kind, s.p, p_hat, gamma), s.p
+    # every point of a coarse curve, out to p = 0 and 1 where the clamp takes over;
+    # repr also tells -0.0 from 0.0, which == does not
+    for s in curve(kind, p_hat=p_hat, gamma=gamma, grid=101, lo=0.0, hi=1.0).samples:
+        expected = one_pixel_graph(kind, s.p, p_hat, gamma)
+        assert (s.loss, s.grad) == expected, s.p
+        assert repr((s.loss, s.grad)) == repr(expected), s.p
+
+
+def test_curve_makes_one_backward_per_curve(monkeypatch):
+    calls = []
+    backward = Tensor.backward
+
+    def counting(self):
+        calls.append(self)
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    for kind in KINDS:
+        calls.clear()
+        curve(kind)
+        assert len(calls) == 1, kind
+
+
+@pytest.mark.parametrize("gamma", [-0.5, float("nan")])
+def test_curve_rejects_a_gamma_the_focal_loss_rejects(gamma):
+    with pytest.raises(ValueError, match="^gamma must be >= 0"):
+        curve("focal", gamma=gamma)
 

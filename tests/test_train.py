@@ -59,8 +59,8 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("not_a_field = 1\n")
-    with pytest.raises(KeyError):
+    path.write_text("seed = 3\nnot_a_field = 1\n")
+    with pytest.raises(KeyError, match=re.escape(f"{path}:2: unknown config key: 'not_a_field'")):
         parse_config_file(path)
 
 
@@ -71,12 +71,12 @@ def test_config_rejects_unknown_keys(tmp_path):
     ("stage1_steps", "1e3", "an int"),
 ], ids=["number_abc", "number_empty", "int_half", "int_exponent"])
 def test_config_names_the_field_of_a_malformed_value(tmp_path, field, raw, kind):
-    message = "^" + re.escape(f"{field} must be {kind}, got {raw!r}") + "$"
-    with pytest.raises(ValueError, match=message):
+    message = f"{field} must be {kind}, got {raw!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make_config(overrides={field: raw})
     path = tmp_path / "bad.cfg"
-    path.write_text(f"{field} = {raw}\n")
-    with pytest.raises(ValueError, match=message):
+    path.write_text(f"# a comment line\n{field} = {raw}\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: {message}") + "$"):
         parse_config_file(path)
 
 
