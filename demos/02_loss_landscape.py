@@ -17,9 +17,9 @@ curves = {kind: curve(kind, p_hat=0.6, gamma=2.0) for kind in KINDS}
 
 print(f"{'loss':<10} {'L(0.5)':>9} {'dL/dp(0.5)':>11} {'dL/dp(0.55)':>12} {'dL/dp(0.95)':>12}")
 for kind, c in curves.items():
-    at = {round(s.p, 4): s for s in c.samples}
-    print(f"{kind:<10} {at[0.5].loss:>9.4f} {at[0.5].grad:>11.4f} "
-          f"{at[0.55].grad:>12.4f} {at[0.95].grad:>12.4f}")
+    at = {round(p, 4): i for i, p in enumerate(c.p.tolist())}  # grid index of each p
+    print(f"{kind:<10} {c.loss[at[0.5]]:>9.4f} {c.grad[at[0.5]]:>11.4f} "
+          f"{c.grad[at[0.55]]:>12.4f} {c.grad[at[0.95]]:>12.4f}")
 
 print()
 for kind, c in curves.items():

@@ -343,11 +343,10 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
 
 
 def take_cols(x: Tensor, index) -> Tensor:
-    """Gather columns of a 2-D tensor; backward scatters them back.
+    """Gather columns of a 2-D tensor, each at most once; backward scatters them back.
 
-    Columns picked more than once sum their gradients (``np.add.at``); an
-    index without repeats, such as a permutation or a prefix of one, takes
-    a plain scatter.
+    ``index`` is a permutation of the columns or a part of one: a column
+    picked twice (a negative index names its positive twin) is rejected.
     """
     x = _ensure_tensor(x)
     idx = np.asarray(index, dtype=np.intp)
@@ -355,15 +354,14 @@ def take_cols(x: Tensor, index) -> Tensor:
         raise ShapeMismatchError(f"take_cols requires a 2-D tensor, got {x.shape}")
     out = x.data[:, idx]
     picked = np.zeros(x.shape[1], dtype=bool)
-    picked[idx] = True  # a negative index marks the same slot as its positive twin
-    repeats = int(picked.sum()) != idx.size
+    picked[idx] = True
+    repeats = idx.size - int(picked.sum())
+    if repeats:
+        raise ValueError(f"take_cols takes each column at most once; {repeats} picks repeat one")
 
     def vjp(g):
         acc = np.zeros_like(x.data)
-        if repeats:
-            np.add.at(acc, (slice(None), idx), g)
-        else:
-            acc[:, idx] = g
+        acc[:, idx] = g
         return acc
 
     return make_node(out, (x,), (vjp,))

@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # segadapt.config reads _BASE_COLORS from here
 
 __all__ = [
     "generate_domain",
-    "expected_class_fraction",
     "pixel_features",
     "NUM_FEATURES",
     "perturb",
@@ -72,22 +71,6 @@ def _scene_tables(cfg: TrainConfig):
     rare_hi = max(lo + 1, cfg.cell // 2)  # rare shapes are also small
     size_ranges = [(lo, rare_hi) if cls == cfg.rare_class else (lo, hi) for cls in range(c)]
     return cdf, size_ranges, np.ascontiguousarray(_BASE_COLORS[:c].T)
-
-
-def expected_class_fraction(cfg: TrainConfig) -> np.ndarray:
-    """Closed-form expected pixel fraction per class.
-
-    Cells are disjoint, each is filled with probability ``fill_prob`` by one
-    class c with its normalised weight carrying a rectangle whose integer
-    sides are uniform on its side range (see ``_scene_tables``).
-    """
-    cdf, size_ranges, _ = _scene_tables(cfg)
-    weights = np.diff(cdf, prepend=0.0)
-    cells = (cfg.height // cfg.cell) * (cfg.width // cfg.cell)
-    mean_side = np.array([(lo + hi) / 2.0 for lo, hi in size_ranges])
-    frac = cells * cfg.fill_prob * weights * mean_side ** 2 / (cfg.height * cfg.width)
-    frac[0] = 1.0 - frac[1:].sum()
-    return frac
 
 
 def generate_domain(cfg: TrainConfig, domain: str, n: int, seed) -> list:

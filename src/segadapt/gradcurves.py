@@ -33,7 +33,6 @@ from segadapt.netpbm import write_csv
 __all__ = [
     "KINDS",
     "REFERENCE_FOCAL_MIN",
-    "CurveSample",
     "Curve",
     "curve",
     "find_global_min",
@@ -52,31 +51,27 @@ GRID_HI = 0.9995
 
 
 @dataclass
-class CurveSample:
-    p: float
-    loss: float
-    grad: float
-
-
-@dataclass
 class Curve:
+    """One loss sampled at the grid ``p``: ``loss`` and ``grad`` (d loss / dp), all float64."""
+
     kind: str
     p_hat: float
     gamma: float
-    samples: list
+    p: np.ndarray
+    loss: np.ndarray
+    grad: np.ndarray
 
 
-def _points(kind: str, ps: np.ndarray, p_hat: float, gamma: float):
-    """Loss and d(loss)/dp at each ``p`` of ``ps``, from one (2, n) graph and one backward.
+def _points(kind: str, leaf: Tensor, p_hat: float, gamma: float):
+    """Per-point terms (the graph to differentiate) and loss values at each ``p`` of a (1, n) leaf.
 
     Bits match one-pixel graphs: ``sum()`` sends each point 1, a one-pixel mean is ``0.0 + term``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown loss kind: {kind!r} (choose from {KINDS})")
-    leaf = Tensor(ps[None, :], requires_grad=True)
     dist = concat([leaf, 1.0 - leaf], axis=0)  # learnable (p, 1-p), one column per point
     if kind == "focal":
-        estimate = Tensor(np.repeat([[p_hat], [1.0 - p_hat]], ps.size, axis=1))
+        estimate = Tensor(np.repeat([[p_hat], [1.0 - p_hat]], leaf.size, axis=1))
         _check_probmap(estimate, EPSILON, gamma)
         terms = _adjusted_kl_terms(estimate, dist, gamma, EPSILON)
         loss = (0.0 + _entropy_terms(estimate, EPSILON).data.astype(np.float64)
@@ -84,39 +79,39 @@ def _points(kind: str, ps: np.ndarray, p_hat: float, gamma: float):
     else:
         terms = _entropy_terms(dist, EPSILON) if kind == "shannon" else _max_square_terms(dist)
         loss = 0.0 + terms.data  # the -0.0 entropy at p = 0 or 1 reads 0.0, as in a mean
-    terms.sum().backward()
-    return loss, leaf.grad[0]
+    return terms, loss
 
 
 def curve(kind: str, p_hat: float = 0.6, gamma: float = 2.0,
           grid: int = GRID_POINTS, lo: float = GRID_LO, hi: float = GRID_HI) -> Curve:
-    """Sample one loss over a grid of learnable probabilities."""
+    """Sample one loss and its gradient over a grid of learnable probabilities: one backward."""
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
     if not 0.0 < p_hat < 1.0:
         raise ValueError("p_hat must lie strictly inside (0, 1)")
     ps = np.linspace(lo, hi, grid)
-    loss, grad = _points(kind, ps, p_hat, gamma)
-    samples = [CurveSample(*row) for row in zip(ps.tolist(), loss.tolist(), grad.tolist())]
-    return Curve(kind=kind, p_hat=p_hat, gamma=gamma, samples=samples)
+    leaf = Tensor(ps[None, :], requires_grad=True)
+    terms, loss = _points(kind, leaf, p_hat, gamma)
+    terms.sum().backward()
+    return Curve(kind=kind, p_hat=p_hat, gamma=gamma, p=ps, loss=loss, grad=leaf.grad[0])
 
 
 def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
-    """Grid argmin refined by golden-section search between its neighbors."""
-    if not curve_obj.samples:
+    """Grid argmin refined by golden-section search between its neighbors, on loss values only."""
+    if not curve_obj.p.size:
         raise ValueError("curve is empty")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    ps = [s.p for s in curve_obj.samples]
-    losses = [s.loss for s in curve_obj.samples]
-    i = int(np.argmin(losses))
-    lo = ps[max(i - 1, 0)]
-    hi = ps[min(i + 1, len(ps) - 1)]
+    ps = curve_obj.p
+    i = int(np.argmin(curve_obj.loss))
+    lo = float(ps[max(i - 1, 0)])
+    hi = float(ps[min(i + 1, ps.size - 1)])
 
     def value(p):
-        return _points(curve_obj.kind, np.array([p]), curve_obj.p_hat, curve_obj.gamma)[0][0]
+        # a leaf without requires_grad: the same forward, no graph kept, nothing to backpropagate
+        return _points(curve_obj.kind, Tensor([[p]]), curve_obj.p_hat, curve_obj.gamma)[1][0]
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
@@ -137,5 +132,9 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
 
 def emit_csv(curves, path) -> None:
     """Write curves as ``loss_kind,p,loss,grad`` rows, 17 significant digits."""
+    kinds, values = [], []
+    for c in curves:
+        kinds += [c.kind] * c.p.size
+        values.append((c.p, c.loss, c.grad))
     write_csv(path, "loss_kind,p,loss,grad",
-              ((c.kind, s.p, s.loss, s.grad) for c in curves for s in c.samples))
+              [kinds, *np.concatenate(values, axis=1)] if values else [])

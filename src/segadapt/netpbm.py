@@ -1,18 +1,38 @@
-"""File writers: CSV for logs and curves; 8-bit binary PPM (P6)/PGM (P5), with readers."""
+"""File writers: CSV for logs and curves; 8-bit binary PPM (P6) and PGM (P5)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["write_csv", "write_ppm", "write_pgm", "read_ppm", "read_pgm"]
+__all__ = ["write_csv", "write_ppm", "write_pgm"]
 
 
-def write_csv(path, header: str, rows) -> None:
-    """``header`` then one line per row; floats get 17 significant digits (``nan`` stays)."""
+# rows formatted at a time, so the text of a long log or curve file is never all in memory
+_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header: str, columns) -> None:
+    """``header`` then one line per row of ``columns``, equal-length sequences or 1-D arrays.
+
+    A float (numpy float64 too) prints with 17 significant digits (``nan``
+    stays ``nan``); any other value, a numpy float32 included, prints as
+    ``str(value)``.
+    """
+    columns = list(columns)
+    lengths = [len(col) for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+        for lo in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
+            cells = [_cells(col[lo:lo + _BLOCK_ROWS]) for col in columns]
+            fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
+
+
+def _cells(column) -> list[str]:
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return [f"{v:.17g}" for v in column.tolist()]  # all floats: no per-value type test
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in column]
 
 
 def _scaled_u8(values: np.ndarray) -> np.ndarray:
@@ -54,34 +74,3 @@ def write_pgm(path, values: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(_verbatim_u8(values).tobytes())
-
-
-def _read_header(fh, magic: bytes):
-    if fh.readline().strip() != magic:
-        raise ValueError(f"not a {magic.decode()} file")
-    fields: list[int] = []
-    while len(fields) < 3:
-        line = fh.readline()
-        if not line:
-            raise ValueError("truncated header")
-        if line.startswith(b"#"):
-            continue
-        fields.extend(int(tok) for tok in line.split())
-    w, h, maxval = fields
-    if maxval != 255:
-        raise ValueError("only 8-bit images are supported")
-    return w, h
-
-
-def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P6")
-        raw = np.frombuffer(fh.read(3 * w * h), dtype=np.uint8)
-    return raw.reshape(h, w, 3).transpose(2, 0, 1)
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_header(fh, b"P5")
-        raw = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return raw.reshape(h, w)

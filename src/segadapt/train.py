@@ -231,15 +231,15 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
 
 
 def write_metrics_csv(path, rows) -> None:
-    write_csv(path, "step,L_s,L_u,L_m,total", rows)
+    write_csv(path, "step,L_s,L_u,L_m,total", zip(*rows))
 
 
 def write_thresholds_csv(path, rows) -> None:
-    write_csv(path, "step,class_id,alpha", rows)
+    write_csv(path, "step,class_id,alpha", zip(*rows))
 
 
 def write_iou_csv(path, iou: np.ndarray, miou: float) -> None:
-    write_csv(path, "class_id,iou", [*enumerate(iou), ("mean", miou)])
+    write_csv(path, "class_id,iou", [[*range(len(iou)), "mean"], [*iou, miou]])
 
 
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:

@@ -43,6 +43,7 @@ from segadapt.threshold import (
 from segadapt.train import run_pipeline
 
 from _fd import fd_gradient, rel_error
+from _netpbm import csv_by_rows
 
 
 def _report(number: str, ok: bool, detail: str = "") -> bool:
@@ -235,31 +236,31 @@ def binary_curves():
     return curves, time.perf_counter() - started
 
 
-def _at(curve_obj, p):
-    for s in curve_obj.samples:
-        if abs(s.p - p) < 1e-12:
-            return s
-    raise AssertionError(f"grid point {p} missing")
+def _grad_at(curve_obj, p):
+    hits = np.flatnonzero(np.abs(curve_obj.p - p) < 1e-12)
+    if not hits.size:
+        raise AssertionError(f"grid point {p} missing")
+    return curve_obj.grad[hits[0]]
 
 
 def test_criterion_4a_shannon_saddle_and_boundary_minima(binary_curves):
     curves, _ = binary_curves
     c = curves["shannon"]
-    grad_zero = abs(_at(c, 0.5).grad) < 1e-12
-    edge_min = int(np.argmin([s.loss for s in c.samples])) in (0, len(c.samples) - 1)
+    grad_zero = abs(_grad_at(c, 0.5)) < 1e-12
+    edge_min = int(np.argmin(c.loss)) in (0, c.loss.size - 1)
     assert _report("4a (Shannon saddle + boundary minima)", grad_zero and edge_min)
 
 
 def test_criterion_4b_maxsquare_zero_gradient_at_half(binary_curves):
     curves, _ = binary_curves
-    g = abs(_at(curves["maxsquare"], 0.5).grad)
+    g = abs(_grad_at(curves["maxsquare"], 0.5))
     assert _report("4b (square loss gradient at 0.5)", g < 1e-10, f"|grad| = {g:.2e}")
 
 
 def test_criterion_4c_focal_interior_minimum(binary_curves):
     curves, elapsed = binary_curves
     p_star = find_global_min(curves["focal"])
-    g_half = abs(_at(curves["focal"], 0.5).grad)
+    g_half = abs(_grad_at(curves["focal"], 0.5))
     ok = 0.5 < p_star < 1.0 and g_half > 0.0 and elapsed < 5.0
     assert _report("4c (focal interior minimum)", ok,
                    f"argmin = {p_star:.4f}, |grad(0.5)| = {g_half:.3f}, curves in {elapsed:.1f}s")
@@ -283,10 +284,10 @@ def test_criterion_4d_focal_gradient_ratio_below_shannon(binary_curves):
     curves, _ = binary_curves
     shannon = curves["shannon"]
     easy, hard = 0.95, 0.55
-    perturbed = {p: abs(_at(curve("focal", p_hat=p, gamma=2.0, grid=3, lo=p), p).grad)
+    perturbed = {p: abs(_grad_at(curve("focal", p_hat=p, gamma=2.0, grid=3, lo=p), p))
                  for p in (easy, hard)}
     ratios = {
-        "shannon": abs(_at(shannon, easy).grad) / abs(_at(shannon, hard).grad),
+        "shannon": abs(_grad_at(shannon, easy)) / abs(_grad_at(shannon, hard)),
         "focal": perturbed[easy] / perturbed[hard] if perturbed[hard] else math.inf,
     }
     ok = perturbed[hard] > 1e-3 and ratios["focal"] < ratios["shannon"]
@@ -497,3 +498,19 @@ def test_supporting_loss_decomposition_recomposes(pipeline_run):
     for log in (summary["stage1_log"], summary["stage2_log"]):
         for step, l_s, l_u, l_m, total in log.metrics[::97]:
             assert abs(total - (l_s + cfg.lambda_u * l_u + cfg.lambda_m * l_m)) < 1e-12
+
+
+def test_supporting_pipeline_csvs_keep_the_row_by_row_bytes(pipeline_run):
+    # the column-wise CSV writer prints each logged value as the per-value rule does
+    summary, out, _ = pipeline_run
+    expected = {}
+    for run in ("baseline", "stage1", "stage2"):
+        rows = [*enumerate(summary[f"{run}_target_iou"]), ("mean", summary[f"{run}_target_miou"])]
+        expected[f"{run}_ious.csv"] = ("class_id,iou", rows)
+    for stage in ("stage1", "stage2"):
+        log = summary[f"{stage}_log"]
+        expected[f"{stage}_metrics.csv"] = ("step,L_s,L_u,L_m,total", log.metrics)
+        expected[f"{stage}_thresholds.csv"] = ("step,class_id,alpha", log.thresholds)
+    assert sorted(expected) == sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
+    for name, (header, rows) in expected.items():
+        assert (out / name).read_bytes() == csv_by_rows(header, rows), name

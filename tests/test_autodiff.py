@@ -211,13 +211,22 @@ def test_concat_and_take_cols_gradients():
     (y * Tensor(np.ones((2, 3)))).sum().backward()
     assert np.allclose(x.grad, np.ones((2, 3)))
 
-    # repeated columns (1 twice; 2 once directly and once as -1) accumulate
+    # part of a permutation, one column named by a negative index: each flow goes back
+    # to the column it came from, and the column not picked gets 0
+    x = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
+    part = take_cols(x, [3, -4, 1])
+    assert np.array_equal(part.data, x.data[:, [3, 0, 1]])
+    w = np.arange(6.0).reshape(2, 3)
+    (part * Tensor(w)).sum().backward()
+    assert np.array_equal(x.grad, np.stack([w[:, 1], w[:, 2], np.zeros(2), w[:, 0]], axis=1))
+
+
+@pytest.mark.parametrize("index", [[1, 1, 0], [2, 0, -1], [0, 1, 2, 0]],
+                         ids=["twice", "negative_twin", "full_plus_one"])
+def test_take_cols_rejects_a_column_picked_twice(index):
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    rep = take_cols(x, [1, 1, -1, 2, 0])
-    assert np.array_equal(rep.data, x.data[:, [1, 1, 2, 2, 0]])
-    w = np.arange(10.0).reshape(2, 5)
-    (rep * Tensor(w)).sum().backward()
-    assert np.array_equal(x.grad, np.stack([w[:, 4], w[:, 0] + w[:, 1], w[:, 2] + w[:, 3]], axis=1))
+    with pytest.raises(ValueError, match="at most once"):
+        take_cols(x, index)
 
 
 def test_linear_gradients():
@@ -332,7 +341,7 @@ def test_every_op_gradient_vs_finite_differences(name):
     x0 = rng.uniform(-2.0, 2.0, size=(3, 5))
     other = rng.uniform(0.5, 2.0, size=(3, 5))
     mask = rng.random((3, 5)) < 0.6
-    cols = rng.integers(0, 5, size=5)
+    cols = np.argsort(rng.integers(0, 5, size=5), kind="stable")  # a permutation, same draws
     weight = rng.uniform(-1.0, 1.0, size=(5, 5))
     bias = rng.uniform(-1.0, 1.0, size=5)
     is_linear = name in ("add", "sub", "neg", "sum_axis", "linear", "take_cols")
@@ -425,7 +434,7 @@ def test_every_op_follows_float32_inputs(name):
         "masked_mean": lambda t: t.masked_mean(mask),
         "linear": lambda t: linear(t, _f32(rng.uniform(-1.0, 1.0, size=(3, 5))),
                                    _f32(rng.uniform(-1.0, 1.0, size=5))),
-        "take_cols": lambda t: take_cols(t, [4, 0, 0, 2]),
+        "take_cols": lambda t: take_cols(t, [4, 0, 3, 2]),
         "mlp_softmax": lambda t: mlp_softmax(
             t, _f32(rng.uniform(-1.0, 1.0, size=(3, 4))), _f32(rng.uniform(-1.0, 1.0, size=4)),
             _f32(rng.uniform(-1.0, 1.0, size=(4, 3))), _f32(rng.uniform(-1.0, 1.0, size=3))),

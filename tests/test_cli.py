@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from segadapt.cli import main
-from segadapt.netpbm import read_pgm, read_ppm, write_pgm, write_ppm
+from segadapt.netpbm import write_csv, write_pgm, write_ppm
+
+from _netpbm import csv_by_rows, read_pgm, read_ppm
 
 TINY = ["--height", "32", "--width", "32", "--source-scenes", "6",
         "--target-scenes", "6", "--pretrain-steps", "25", "--stage1-steps", "30",
@@ -34,6 +36,37 @@ def test_write_pgm_writes_the_same_bytes_for_int64_and_uint8_labels(tmp_path):
     write_pgm(wide, labels)
     write_pgm(narrow, labels.astype(np.uint8))
     assert wide.read_bytes() == narrow.read_bytes()
+
+
+def test_write_csv_formats_each_value_by_its_type(tmp_path):
+    # floats (numpy float64 included) print as %.17g, every other value by str(),
+    # in list columns and in array columns alike
+    nan, inf = float("nan"), float("inf")
+    columns = [
+        [3, "mean", np.int64(-2), True],
+        [0.1, np.float64(2.5), -0.0, 1 / 3],
+        [nan, "x", np.float32(0.1), 7],
+        np.array([inf, -inf, -0.0, 5e-324]),
+        np.array([0.1, 1e-8, -inf, 2.5], dtype=np.float32),
+    ]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, "a,b,c,d,e", columns)
+    assert path.read_bytes() == (
+        b"a,b,c,d,e\n"
+        b"3,0.10000000000000001,nan,inf,0.1\n"
+        b"mean,2.5,x,-inf,1e-08\n"
+        b"-2,-0,0.1,-0,-inf\n"
+        b"True,0.33333333333333331,7,4.9406564584124654e-324,2.5\n")
+    write_csv(path, "a,b", [])
+    assert path.read_bytes() == b"a,b\n"
+    # columns longer than the writer's block of rows give the row-by-row rule's bytes
+    n = 2500
+    long = ([list(range(n))] + [[col[i % 4] for i in range(n)] for col in columns[1:3]]
+            + [np.resize(col, n) for col in columns[3:]])
+    write_csv(path, "i,b,c,d,e", long)
+    assert path.read_bytes() == csv_by_rows("i,b,c,d,e", zip(*long))
+    with pytest.raises(ValueError, match="columns differ in length"):
+        write_csv(path, "a,b", [[1, 2], [1.0]])
 
 
 def test_gen_data_writes_scene_files(tmp_path):

@@ -9,7 +9,7 @@ from segadapt.config import TrainConfig, make_config
 from segadapt.data import (
     _BASE_COLORS,
     _HUE_DIRECTION,
-    expected_class_fraction,
+    _scene_tables,
     flip_permutation,
     generate_domain,
     perturb,
@@ -18,6 +18,22 @@ from segadapt.data import (
 
 
 _TINY = 5e-324  # the smallest positive float
+
+
+def expected_class_fraction(cfg: TrainConfig) -> np.ndarray:
+    """Closed-form expected pixel fraction per class, the oracle for the generator.
+
+    Cells are disjoint, each is filled with probability ``fill_prob`` by one
+    class c with its normalised weight carrying a rectangle whose integer
+    sides are uniform on its side range (see ``data._scene_tables``).
+    """
+    cdf, size_ranges, _ = _scene_tables(cfg)
+    weights = np.diff(cdf, prepend=0.0)
+    cells = (cfg.height // cfg.cell) * (cfg.width // cfg.cell)
+    mean_side = np.array([(lo + hi) / 2.0 for lo, hi in size_ranges])
+    frac = cells * cfg.fill_prob * weights * mean_side ** 2 / (cfg.height * cfg.width)
+    frac[0] = 1.0 - frac[1:].sum()
+    return frac
 
 
 def test_zero_shift_makes_domains_identical():

@@ -5,8 +5,15 @@ import numpy as np
 import pytest
 
 from segadapt.autodiff import Tensor, concat
-from segadapt.gradcurves import KINDS, Curve, curve, emit_csv, find_global_min
+from segadapt.cli import main
+from segadapt.gradcurves import KINDS, Curve, _points, curve, emit_csv, find_global_min
 from segadapt.losses import maximum_square_loss, shannon_entropy_loss, unsupervised_focal_loss
+
+from _netpbm import csv_by_rows
+
+# the (p_hat, gamma) settings of the benchmark's landscape workload
+LANDSCAPE = [(p_hat, gamma) for p_hat in (0.55, 0.6, 0.7, 0.8, 0.9)
+             for gamma in (0.5, 1.0, 2.0, 4.0)]
 
 
 def closed_form_focal(p, a=0.6, gamma=2.0):
@@ -22,10 +29,11 @@ def closed_form_focal_grad(p, a=0.6):
 
 
 def sample_at(curve_obj, p):
-    for s in curve_obj.samples:
-        if abs(s.p - p) < 1e-12:
-            return s
-    raise AssertionError(f"grid point {p} missing")
+    """(loss, grad) at the grid point ``p``."""
+    hits = np.flatnonzero(np.abs(curve_obj.p - p) < 1e-12)
+    if not hits.size:
+        raise AssertionError(f"grid point {p} missing")
+    return curve_obj.loss[hits[0]], curve_obj.grad[hits[0]]
 
 
 @pytest.fixture(scope="module")
@@ -39,39 +47,37 @@ def test_default_grid_contains_reference_points(curves):
 
 
 def test_shannon_uniform_point(curves):
-    s = sample_at(curves["shannon"], 0.5)
-    assert s.loss == pytest.approx(math.log(2), abs=1e-12)
-    assert abs(s.grad) < 1e-12
+    loss, grad = sample_at(curves["shannon"], 0.5)
+    assert loss == pytest.approx(math.log(2), abs=1e-12)
+    assert abs(grad) < 1e-12
 
 
 def test_shannon_boundary_minima(curves):
     c = curves["shannon"]
-    losses = [s.loss for s in c.samples]
-    assert int(np.argmin(losses)) in (0, len(losses) - 1)
-    assert c.samples[0].loss < 0.005 and c.samples[-1].loss < 0.005
+    assert int(np.argmin(c.loss)) in (0, c.loss.size - 1)
+    assert c.loss[0] < 0.005 and c.loss[-1] < 0.005
 
 
 def test_maxsquare_saddle_and_boundary_minimum(curves):
     c = curves["maxsquare"]
-    s = sample_at(c, 0.5)
-    assert s.loss == pytest.approx(-0.25, abs=1e-12)
-    assert abs(s.grad) < 1e-10
-    losses = [x.loss for x in c.samples]
-    assert int(np.argmin(losses)) in (0, len(losses) - 1)
+    loss, grad = sample_at(c, 0.5)
+    assert loss == pytest.approx(-0.25, abs=1e-12)
+    assert abs(grad) < 1e-10
+    assert int(np.argmin(c.loss)) in (0, c.loss.size - 1)
 
 
 def test_focal_matches_closed_form(curves):
     c = curves["focal"]
     for p in (0.3, 0.5, 0.7, 0.9):
-        s = sample_at(c, p)
-        assert s.loss == pytest.approx(closed_form_focal(p), abs=1e-12)
-        assert s.grad == pytest.approx(closed_form_focal_grad(p), abs=1e-9)
+        loss, grad = sample_at(c, p)
+        assert loss == pytest.approx(closed_form_focal(p), abs=1e-12)
+        assert grad == pytest.approx(closed_form_focal_grad(p), abs=1e-9)
 
 
 def test_focal_gradient_nonzero_at_half(curves):
-    s = sample_at(curves["focal"], 0.5)
-    assert abs(s.grad) > 0.1
-    assert s.grad == pytest.approx(closed_form_focal_grad(0.5), abs=1e-9)
+    _, grad = sample_at(curves["focal"], 0.5)
+    assert abs(grad) > 0.1
+    assert grad == pytest.approx(closed_form_focal_grad(0.5), abs=1e-9)
 
 
 def test_focal_global_minimum_interior(curves):
@@ -85,8 +91,8 @@ def test_focal_global_minimum_interior(curves):
 
 def test_shannon_gradient_biased_toward_easy_pixels(curves):
     c = curves["shannon"]
-    easy = abs(sample_at(c, 0.95).grad)
-    hard = abs(sample_at(c, 0.55).grad)
+    easy = abs(sample_at(c, 0.95)[1])
+    hard = abs(sample_at(c, 0.55)[1])
     assert easy > hard
 
 
@@ -98,7 +104,9 @@ def test_find_global_min_refines_to_tolerance():
 
 def test_find_global_min_rejects_empty():
     with pytest.raises(ValueError):
-        find_global_min(Curve(kind="shannon", p_hat=0.6, gamma=2.0, samples=[]))
+        empty = np.empty(0)
+        find_global_min(Curve(kind="shannon", p_hat=0.6, gamma=2.0, p=empty, loss=empty,
+                              grad=empty))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
@@ -126,16 +134,27 @@ def test_emit_csv_round_trip(tmp_path, curves):
     emit_csv([curves[k] for k in KINDS], path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(KINDS) * len(curves["shannon"].samples)
+    assert len(rows) == len(KINDS) * curves["shannon"].p.size
     by_kind = {}
     for row in rows:
         by_kind.setdefault(row["loss_kind"], []).append(row)
     for kind in KINDS:
-        for row, sample in zip(by_kind[kind], curves[kind].samples):
-            # 17 significant digits survive the text round trip exactly
-            assert float(row["p"]) == sample.p
-            assert float(row["loss"]) == sample.loss
-            assert float(row["grad"]) == sample.grad
+        # 17 significant digits survive the text round trip exactly
+        for name in ("p", "loss", "grad"):
+            column = np.array([float(row[name]) for row in by_kind[kind]])
+            assert np.array_equal(column, getattr(curves[kind], name)), (kind, name)
+
+
+def test_gradcurves_cli_writes_the_bytes_of_the_row_by_row_rule(tmp_path, capsys):
+    path = tmp_path / "curves.csv"
+    assert main(["gradcurves", "--kind", "all", "--p-hat", "0.6", "--gamma", "2",
+                 "--grid", "1999", "--out", str(path)]) == 0
+    capsys.readouterr()
+    rows = []
+    for kind in KINDS:
+        c = curve(kind, p_hat=0.6, gamma=2.0)
+        rows += [(kind, *point) for point in zip(c.p.tolist(), c.loss.tolist(), c.grad.tolist())]
+    assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", rows)
 
 
 def test_csv_gradients_match_column_finite_differences():
@@ -143,11 +162,8 @@ def test_csv_gradients_match_column_finite_differences():
     # truncation error stays below the tolerance at interior points.
     for kind in KINDS:
         c = curve(kind, grid=2001, lo=0.3, hi=0.7)
-        p = np.array([s.p for s in c.samples])
-        loss = np.array([s.loss for s in c.samples])
-        grad = np.array([s.grad for s in c.samples])
-        fd = (loss[2:] - loss[:-2]) / (p[2:] - p[:-2])
-        assert np.max(np.abs(fd - grad[1:-1])) < 1e-6
+        fd = (c.loss[2:] - c.loss[:-2]) / (c.p[2:] - c.p[:-2])
+        assert np.max(np.abs(fd - c.grad[1:-1])) < 1e-6
 
 
 def one_pixel_graph(kind, p, p_hat, gamma):
@@ -171,18 +187,18 @@ def one_pixel_graph(kind, p, p_hat, gamma):
 def test_curve_points_equal_one_pixel_graphs(kind, gamma):
     p_hat = 0.7
     c = curve(kind, p_hat=p_hat, gamma=gamma)
-    ps = np.array([s.p for s in c.samples])
-    near = int(np.argmin(np.abs(ps - p_hat)))
-    half = int(np.flatnonzero(ps == 0.5)[0])
-    for i in (0, len(ps) - 1, half, near - 1, near, near + 1):
-        s = c.samples[i]
-        assert (s.loss, s.grad) == one_pixel_graph(kind, s.p, p_hat, gamma), s.p
+    near = int(np.argmin(np.abs(c.p - p_hat)))
+    half = int(np.flatnonzero(c.p == 0.5)[0])
+    for i in (0, c.p.size - 1, half, near - 1, near, near + 1):
+        p, point = float(c.p[i]), (float(c.loss[i]), float(c.grad[i]))
+        assert point == one_pixel_graph(kind, p, p_hat, gamma), p
     # every point of a coarse curve, out to p = 0 and 1 where the clamp takes over;
     # repr also tells -0.0 from 0.0, which == does not
-    for s in curve(kind, p_hat=p_hat, gamma=gamma, grid=101, lo=0.0, hi=1.0).samples:
-        expected = one_pixel_graph(kind, s.p, p_hat, gamma)
-        assert (s.loss, s.grad) == expected, s.p
-        assert repr((s.loss, s.grad)) == repr(expected), s.p
+    coarse = curve(kind, p_hat=p_hat, gamma=gamma, grid=101, lo=0.0, hi=1.0)
+    for p, point in zip(coarse.p.tolist(), zip(coarse.loss.tolist(), coarse.grad.tolist())):
+        expected = one_pixel_graph(kind, p, p_hat, gamma)
+        assert point == expected, p
+        assert repr(point) == repr(expected), p
 
 
 def test_curve_makes_one_backward_per_curve(monkeypatch):
@@ -205,3 +221,49 @@ def test_curve_rejects_a_gamma_the_focal_loss_rejects(gamma):
     with pytest.raises(ValueError, match="^gamma must be >= 0"):
         curve("focal", gamma=gamma)
 
+
+
+def golden_section_with_backward(c, tol=1e-4):
+    """The golden-section search as it ran with a backward per evaluation: the oracle."""
+    ps = c.p.tolist()
+    i = int(np.argmin(c.loss.tolist()))
+    lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
+
+    def value(p):
+        leaf = Tensor(np.array([p])[None, :], requires_grad=True)
+        terms, loss = _points(c.kind, leaf, c.p_hat, c.gamma)
+        terms.sum().backward()
+        return loss[0]
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x, y = b - invphi * (b - a), a + invphi * (b - a)
+    fx, fy = value(x), value(y)
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
+        if fx < fy:
+            b, y, fy = y, x, fx
+            x = b - invphi * (b - a)
+            fx = value(x)
+        else:
+            a, x, fx = x, y, fy
+            y = a + invphi * (b - a)
+            fy = value(y)
+    return float((a + b) / 2.0)
+
+
+def test_find_global_min_runs_no_backward_and_keeps_the_minima_bit_for_bit(monkeypatch):
+    curves = [curve(kind, p_hat=p_hat, gamma=gamma) for p_hat, gamma in LANDSCAPE for kind in KINDS]
+    expected = [golden_section_with_backward(c) for c in curves]
+    calls = []
+    backward = Tensor.backward
+
+    def counting(self):
+        calls.append(self)
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", counting)
+    found = [find_global_min(c) for c in curves]
+    assert not calls
+    assert [repr(p) for p in found] == [repr(p) for p in expected]
