@@ -2,22 +2,23 @@
 
 The engine is deliberately small: dense row-major storage, elementwise
 arithmetic (add, subtract, negate, multiply, power) with scalar
-broadcasting, log, tanh and clamp, a fused affine layer, column gather and
-concat, softmax, sums, masked means, and stop-gradient, plus the
-classifier's whole forward (``mlp_softmax``, (F, N) feature planes to a
-(C, N) map) as one node.  That is what the losses and the classifier use,
-and it keeps the backward pass easy to audit.  ``make_node`` is the one
-constructor of a graph node; ``segadapt.losses`` builds its loss terms with it.
+broadcasting, log and clamp, column gather and concat, softmax, sums,
+masked means, and stop-gradient, plus the classifier's whole forward
+(``mlp_softmax``, (F, N) feature planes to a (C, N) map) as one node.  That
+is what the losses and the classifier use, and it keeps the backward pass
+easy to audit.  ``make_node`` is the one constructor of a graph node;
+``segadapt.losses`` builds its loss terms with it.
 
 Graphs are built implicitly: each operation records its parents and one
-vector-Jacobian-product closure per parent.  ``Tensor.backward`` walks the
-graph once in reverse topological order, so shared subexpressions accumulate
-gradient contributions correctly.  Gradients are stored on leaves only (the
-tensors created with ``requires_grad=True``, which have no parents); the
-flows through intermediate nodes live only for the duration of the pass, and
-an intermediate node's ``grad`` stays ``None``.  A backward pass owns its
-graph; independent graphs may be evaluated concurrently, a single graph is
-single-threaded.
+vector-Jacobian-product closure that maps the node's flow to a contribution
+for each parent.  ``Tensor.backward`` walks the graph once in reverse
+topological order and calls each node's closure once, so shared
+subexpressions accumulate gradient contributions correctly.  Gradients are
+stored on leaves only (the tensors created with ``requires_grad=True``,
+which have no parents); the flows through intermediate nodes live only for
+the duration of the pass, and an intermediate node's ``grad`` stays
+``None``.  A backward pass owns its graph; independent graphs may be
+evaluated concurrently, a single graph is single-threaded.
 
 Precision: float64 by default, follows float32 inputs; scalar losses are
 float64.  A tensor keeps float32 data as float32 and stores everything else
@@ -38,7 +39,6 @@ __all__ = [
     "Tensor",
     "ShapeMismatchError",
     "concat",
-    "linear",
     "make_node",
     "mlp_softmax",
     "take_cols",
@@ -71,14 +71,14 @@ class Tensor:
     resets it, while the result of an operation keeps ``grad = None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjps")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents: tuple[Tensor, ...] = ()
-        self._vjps: tuple = ()
+        self._vjp = None
 
     # ---------------------------------------------------------------- basics
 
@@ -147,31 +147,25 @@ class Tensor:
                     g = g.astype(node.data.dtype)
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, vjp in zip(node._parents, node._vjps):
-                if not parent.requires_grad:
+            for parent, contribution in zip(node._parents, node._vjp(g)):
+                if contribution is None or not parent.requires_grad:
                     continue
-                contribution = vjp(g)
                 key = id(parent)
-                if key in flows:
-                    flows[key] = flows[key] + contribution
-                else:
-                    flows[key] = contribution
+                flows[key] = flows[key] + contribution if key in flows else contribution
 
     # ----------------------------------------------------------- elementwise
 
     def __add__(self, other):
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
-        return make_node(a.data + b.data, (a, b),
-                         (lambda g: _fit(g, a.shape), lambda g: _fit(g, b.shape)))
+        return make_node(a.data + b.data, (a, b), lambda g: (_fit(g, a.shape), _fit(g, b.shape)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
-        return make_node(a.data - b.data, (a, b),
-                         (lambda g: _fit(g, a.shape), lambda g: _fit(-g, b.shape)))
+        return make_node(a.data - b.data, (a, b), lambda g: (_fit(g, a.shape), _fit(-g, b.shape)))
 
     def __rsub__(self, other):
         return _ensure_tensor(other, self).__sub__(self)
@@ -180,13 +174,12 @@ class Tensor:
         a, b = self, _ensure_tensor(other, self)
         _check_elementwise(a, b)
         return make_node(a.data * b.data, (a, b),
-                         (lambda g: _fit(g * b.data, a.shape),
-                          lambda g: _fit(g * a.data, b.shape)))
+                         lambda g: (_fit(g * b.data, a.shape), _fit(g * a.data, b.shape)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return make_node(-self.data, (self,), (lambda g: -g,))
+        return make_node(-self.data, (self,), lambda g: (-g,))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, _SCALARS):
@@ -204,28 +197,23 @@ class Tensor:
                 # flow stays zero where a**(gamma - 1) is infinite (a = 0
                 # with gamma < 1) instead of becoming 0 * inf = nan.
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    return np.where(g == 0.0, g, g * gamma * a.data ** (gamma - 1.0))
+                    return (np.where(g == 0.0, g, g * gamma * a.data ** (gamma - 1.0)),)
 
-            return make_node(out, (a,), (vjp,))
+            return make_node(out, (a,), vjp)
 
     # --------------------------------------------------------- nonlinearity
 
     def log(self):
         a = self
         with np.errstate(divide="ignore", invalid="ignore"):
-            return make_node(np.log(a.data), (a,), (lambda g: g / a.data,))
-
-    def tanh(self):
-        a = self
-        out = np.tanh(a.data)
-        return make_node(out, (a,), (lambda g: g * (1.0 - out * out),))
+            return make_node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
     def clamp(self, lo: float, hi: float):
         a = self
         lo, hi = float(lo), float(hi)  # Python floats keep a float32 input float32
         out = np.clip(a.data, lo, hi)
         inside = (a.data > lo) & (a.data < hi)
-        return make_node(out, (a,), (lambda g: g * inside,))
+        return make_node(out, (a,), lambda g: (g * inside,))
 
     # ------------------------------------------------------------ reductions
 
@@ -234,10 +222,10 @@ class Tensor:
         a = self
         if axis is None:
             return make_node(np.array(a.data.sum(dtype=np.float64)), (a,),
-                             (lambda g: np.full(a.shape, g, dtype=a.data.dtype),))
+                             lambda g: (np.full(a.shape, g, dtype=a.data.dtype),))
         out = a.data.sum(axis=axis)
         return make_node(out, (a,),
-                         (lambda g: np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),))
+                         lambda g: (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),))
 
     def masked_mean(self, mask):
         """Mean over entries selected by a boolean mask of the same shape.
@@ -256,7 +244,7 @@ class Tensor:
             return Tensor(0.0)
         value = a.data[sel].sum(dtype=np.float64) / count  # np.mean's bits, without its wrapper
         return make_node(np.array(value), (a,),
-                         (lambda g: (g * sel / count).astype(a.data.dtype, copy=False),))
+                         lambda g: ((g * sel / count).astype(a.data.dtype, copy=False),))
 
     def softmax(self, axis: int):
         a = self
@@ -265,9 +253,9 @@ class Tensor:
         out = e / e.sum(axis=axis, keepdims=True)
 
         def vjp(g):
-            return out * (g - (g * out).sum(axis=axis, keepdims=True))
+            return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
 
-        return make_node(out, (a,), (vjp,))
+        return make_node(out, (a,), vjp)
 
 
 # ----------------------------------------------------------------- free ops
@@ -279,37 +267,22 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not parts:
         raise ValueError("concat requires at least one tensor")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        index = [slice(None)] * out.ndim
-        index[axis] = slice(lo, hi)
-        index = tuple(index)
-        return lambda g: g[index]
-
-    return make_node(out, tuple(parts), tuple(make_vjp(i) for i in range(len(parts))))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine layer ``w.T @ x + b`` as one node: (K, M) columns to (N, M), plus a length-N bias."""
-    x, w, b = _ensure_tensor(x), _ensure_tensor(w), _ensure_tensor(b)
-    _check_linear("linear", x.shape, w.shape, b.shape)
-    return make_node(w.data.T @ x.data + b.data[:, None], (x, w, b),
-                     (lambda g: w.data @ g, lambda g: x.data @ g.T, lambda g: g.sum(axis=1)))
+    bounds = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    return make_node(out, tuple(parts), lambda g: tuple(np.split(g, bounds, axis=axis)))
 
 
 def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Class-major softmax of a tanh MLP, (F, N) feature planes to a (C, N) map, as one node.
 
-    The value and every gradient equal, bit for bit, those of the chain
-    ``linear(linear(x, w1, b1).tanh(), w2, b2).softmax(axis=0)``: the same
-    numpy expressions in the same order on the same memory layouts.  The
-    forward works in place in two arrays (hidden, map) where the chain
-    allocates about eight; pixels stay columns, so no transposed copy is
-    made.  The backward derives the softmax and tanh flows once and hands
-    each parent its share.  The four parameters share one dtype, so the
-    in-place bias adds keep the chain's result dtype.
+    The value and every gradient equal, bit for bit, those of the op chain
+    it fuses, one node each for ``w1.T @ x + b1``, tanh, ``w2.T @ h + b2``
+    and the class softmax: the same numpy expressions in the same order on
+    the same memory layouts.  The forward
+    works in place in two arrays (hidden, map) where the chain allocates
+    about eight; pixels stay columns, so no transposed copy is made.  The
+    backward derives the softmax and tanh flows once and hands each parent
+    its share; constant features get no (F, N) flow.  The four parameters
+    share one dtype, so the in-place bias adds keep the chain's result dtype.
     """
     x, w1, b1, w2, b2 = parents = tuple(_ensure_tensor(t) for t in (x, w1, b1, w2, b2))
     _check_linear("mlp_softmax layer 1", x.shape, w1.shape, b1.shape)
@@ -326,20 +299,16 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     np.exp(out, out=out)
     out /= out.sum(axis=0, keepdims=True)
 
-    def flows(g):
+    def vjp(g):
         g_z = out * (g - (g * out).sum(axis=0, keepdims=True))
         g_a = w2.data @ g_z
         d = h * h
         np.subtract(1.0, d, out=d)
         g_a *= d  # (w2 @ g_z) * (1 - h * h) without two more (hidden, N) arrays
-        return g_z, g_a
+        return (w1.data @ g_a if x.requires_grad else None, x.data @ g_a.T, g_a.sum(axis=1),
+                h @ g_z.T, g_z.sum(axis=1))
 
-    parts = (lambda g_z, g_a: w1.data @ g_a,
-             lambda g_z, g_a: x.data @ g_a.T,
-             lambda g_z, g_a: g_a.sum(axis=1),
-             lambda g_z, g_a: h @ g_z.T,
-             lambda g_z, g_a: g_z.sum(axis=1))
-    return make_node(out, parents, _shared_vjps(parents, flows, parts))
+    return make_node(out, parents, vjp)
 
 
 def take_cols(x: Tensor, index) -> Tensor:
@@ -362,9 +331,9 @@ def take_cols(x: Tensor, index) -> Tensor:
     def vjp(g):
         acc = np.zeros_like(x.data)
         acc[:, idx] = g
-        return acc
+        return (acc,)
 
-    return make_node(out, (x,), (vjp,))
+    return make_node(out, (x,), vjp)
 
 
 # ------------------------------------------------------------------ helpers
@@ -386,31 +355,6 @@ def _check_linear(op: str, x: tuple, w: tuple, b: tuple) -> None:
         raise ShapeMismatchError(f"{op} expects (K, M), (K, N) and (N,), got {x}, {w} and {b}")
 
 
-def _shared_vjps(parents: tuple[Tensor, ...], flows, parts) -> tuple:
-    """One VJP per parent, all drawing on a single ``flows(g)`` per flow ``g``.
-
-    ``flows(g)`` returns the intermediate flows every parent's contribution
-    needs, and ``parts[i](*flows(g))`` is parent ``i``'s contribution.
-    ``Tensor.backward`` calls a node's VJPs back to back with one flow, so
-    the first call computes the shared flows and the call for the last parent
-    that requires grad drops them; a call with another flow recomputes.
-    """
-    last = max((i for i, p in enumerate(parents) if p.requires_grad), default=-1)
-    held: list = [None, ()]  # the flow and what flows() made of it
-
-    def make(i):
-        def vjp(g):
-            if held[0] is not g:
-                held[:] = g, flows(g)
-            contribution = parts[i](*held[1])
-            if i == last:
-                held[:] = None, ()
-            return contribution
-        return vjp
-
-    return tuple(make(i) for i in range(len(parents)))
-
-
 def _check_elementwise(a: Tensor, b: Tensor) -> None:
     if a.data.shape == b.data.shape:
         return
@@ -428,23 +372,25 @@ def _fit(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.asarray(g.sum()).reshape(shape)
 
 
-def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjps: tuple) -> Tensor:
-    """The node of an op's result: ``data`` plus one VJP per parent.
+def make_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """The node of an op's result: ``data``, its parents and one VJP.
 
     Every op here builds its node with it, and so does a fused op defined
-    elsewhere (the loss terms in ``segadapt.losses``).  ``vjps[i](g)`` maps
-    the flow ``g`` (shaped like ``data``) to parent ``i``'s contribution,
-    shaped like that parent; it is called only for parents that require
-    grad.  ``data`` comes from numpy arithmetic on float32/float64 operands,
-    so it needs no dtype conversion; skipping ``Tensor.__init__`` keeps the
-    per-node cost of one-pixel graphs low.
+    elsewhere (the loss terms in ``segadapt.losses``).  ``vjp(g)`` maps the
+    flow ``g`` (shaped like ``data``) to a tuple with one contribution per
+    parent, in parent order, each shaped like its parent.
+    ``Tensor.backward`` calls it once per pass and adds up the contributions
+    of the parents that require grad; a VJP may give ``None`` for a parent
+    that needs no gradient.  ``data`` comes from numpy arithmetic on
+    float32/float64 operands, so it needs no dtype conversion; skipping
+    ``Tensor.__init__`` keeps the per-node cost of one-pixel graphs low.
     """
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data)
     out.grad = None
-    out.requires_grad, out._parents, out._vjps = False, (), ()
+    out.requires_grad, out._parents, out._vjp = False, (), None
     for p in parents:  # a plain loop is several times cheaper than any() over a generator
         if p.requires_grad:
-            out.requires_grad, out._parents, out._vjps = True, parents, vjps
+            out.requires_grad, out._parents, out._vjp = True, parents, vjp
             break
     return out

@@ -74,8 +74,8 @@ class TrainConfig:
         A row is evaluated only once every row above it held, so a row may
         rely on them: ``height % cell`` runs once ``cell >= 6`` did.  Outside
         these ranges a scene cannot be generated as asked, training has
-        nothing to fit, the losses give NaN, or thresholds freeze or mask
-        out every pixel.
+        nothing to fit or steps by a NaN, the losses give NaN, or thresholds
+        freeze or mask out every pixel.
         """
         colors = len(_BASE_COLORS)
         yield "num_classes", 2 <= self.num_classes <= colors, \
@@ -97,6 +97,14 @@ class TrainConfig:
             "be > 0 when the rare class is the only foreground class"
         yield "color_noise", _nonnegative(self.color_noise), "be finite and >= 0"
         yield "hidden_units", self.hidden_units >= 1, "be >= 1"
+        for name in ("learning_rate", "stage1_lr", "stage2_lr"):
+            rate = getattr(self, name)
+            yield name, math.isfinite(rate) and rate > 0.0, "be finite and > 0"
+        for name in ("pretrain_steps", "stage1_steps", "stage2_steps", "paste_count"):
+            yield name, getattr(self, name) >= 0, "be >= 0"
+        for name in ("perturb_noise", "perturb_brightness", "perturb_contrast"):
+            yield name, _nonnegative(getattr(self, name)), "be finite and >= 0"
+        yield "flip_prob", 0.0 <= self.flip_prob <= 1.0, "lie in [0, 1]"
         yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
         yield "gamma", self.gamma >= 0.0, "be >= 0"
         yield "lambda_u", self.lambda_u >= 0.0, "be >= 0"

@@ -8,11 +8,12 @@ Each loss is a per-pixel term (the private ``_*_terms`` helpers) and its
 reduction, mostly ``masked_mean``.  The terms run in the map's dtype
 (float64 or float32); each loss reduces them to a float64 scalar.
 
-Each term is one autodiff node, built with ``autodiff.make_node``, where a
-chain of engine ops (clamp, log, pow, multiply, subtract, negate, class sum)
-would take five to eleven.  Its forward computes the per-pixel values from
-the map's array at once; its VJP runs that chain's numpy expressions in the
-chain's order, so values and gradients equal the chain's bit for bit.
+Each term is one autodiff node with one VJP, built with
+``autodiff.make_node``, where a chain of engine ops (clamp, log, pow,
+multiply, subtract, negate, class sum) would take five to eleven.  Its
+forward computes the per-pixel values from the map's array at once; its VJP
+runs that chain's numpy expressions in the chain's order and returns the
+map's contribution, so values and gradients equal the chain's bit for bit.
 ``supervised_focal_loss`` stays a chain of engine ops on purpose:
 ``focal_decomposition_check`` compares it with Shannon entropy plus adjusted
 KL, and the check means something only while the two are computed
@@ -83,9 +84,9 @@ def _entropy_terms(p: Tensor, epsilon: float) -> Tensor:
 
     def vjp(g):
         g = -g
-        return g * log + g * a / clamped * inside
+        return (g * log + g * a / clamped * inside,)
 
-    return make_node(-(a * log).sum(axis=0), (p,), (vjp,))
+    return make_node(-(a * log).sum(axis=0), (p,), vjp)
 
 
 def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: float) -> Tensor:
@@ -111,21 +112,21 @@ def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: flo
     def vjp(g):
         g_focal = -(g * h)
         if damp is None:
-            return g_focal / clamped * inside
+            return (g_focal / clamped * inside,)
         g_damp = g_focal * log
         with np.errstate(divide="ignore", invalid="ignore"):
             # the pow VJP: a zero flow stays zero where base**(gamma - 1) is infinite
             g_base = np.where(g_damp == 0.0, g_damp, g_damp * gamma * base ** (gamma - 1.0))
-        return -g_base + g_focal * damp / clamped * inside
+        return (-g_base + g_focal * damp / clamped * inside,)
 
-    return make_node((h * (log_h - focal_log)).sum(axis=0), (p_star,), (vjp,))
+    return make_node((h * (log_h - focal_log)).sum(axis=0), (p_star,), vjp)
 
 
 def _cross_entropy_terms(p: Tensor, onehot: np.ndarray, epsilon: float) -> Tensor:
     """``-sum_c onehot log p`` per pixel."""
     clamped, inside, log = _clamped_log(p.data, epsilon)
     return make_node(-(onehot * log).sum(axis=0), (p,),
-                     (lambda g: -g * onehot / clamped * inside,))
+                     lambda g: (-g * onehot / clamped * inside,))
 
 
 def _max_square_terms(p: Tensor) -> Tensor:
@@ -134,9 +135,9 @@ def _max_square_terms(p: Tensor) -> Tensor:
 
     def vjp(g):
         g_a = -(g * 0.5) * a
-        return g_a + g_a  # p * p has p as both factors
+        return (g_a + g_a,)  # p * p has p as both factors
 
-    return make_node(-(a * a).sum(axis=0) * 0.5, (p,), (vjp,))
+    return make_node(-(a * a).sum(axis=0) * 0.5, (p,), vjp)
 
 
 def _check_probmap(p: Tensor, epsilon: float = EPSILON, gamma: float = 0.0) -> None:

@@ -7,11 +7,12 @@ from segadapt.autodiff import (
     Tensor,
     ShapeMismatchError,
     concat,
-    linear,
+    make_node,
     mlp_softmax,
     take_cols,
 )
 
+from _chain import linear, tanh
 from _fd import fd_gradient, rel_error
 
 
@@ -169,7 +170,7 @@ def test_intermediate_nodes_keep_no_gradient():
     w = Tensor([[0.5], [-1.0]], requires_grad=True)
     b = Tensor([0.25], requires_grad=True)
     hidden = linear(x, w, b)
-    act = hidden.tanh()
+    act = tanh(hidden)
     loss = (act * act).sum()
     loss.backward()
     for node in (hidden, act, loss):
@@ -179,6 +180,28 @@ def test_intermediate_nodes_keep_no_gradient():
     assert loss.grad is None
     for leaf in (x, w, b):
         assert leaf.grad is not None and np.all(leaf.grad != 0.0)
+
+
+def test_make_node_runs_its_one_vjp_once_per_backward():
+    # y = x * c for a constant c, whose contribution the VJP leaves out; y feeds two
+    # consumers, so their flows are summed first and the VJP runs once per pass
+    x = Tensor([1.5, -2.0], requires_grad=True)
+    c = Tensor([3.0, 0.5])
+    calls = []
+
+    def vjp(g):
+        calls.append(g)
+        return g * c.data, None
+
+    y = make_node(x.data * c.data, (x, c), vjp)
+    loss = (y * y).sum() + (y * Tensor([2.0, 7.0])).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, [33.0, 2.5])  # (2 x c + w) c
+    assert c.grad is None
+    assert len(calls) == 1
+    loss.backward()
+    assert len(calls) == 2
+    assert np.array_equal(x.grad, [66.0, 5.0])
 
 
 def test_repeated_backward_accumulates_until_zeroed():
@@ -264,7 +287,7 @@ def test_linear_shape_mismatch():
 
 def _mlp_chain(x, w1, b1, w2, b2):
     """The engine-op chain that ``mlp_softmax`` fuses."""
-    return linear(linear(x, w1, b1).tanh(), w2, b2).softmax(axis=0)
+    return linear(tanh(linear(x, w1, b1)), w2, b2).softmax(axis=0)
 
 
 @pytest.mark.parametrize("feature_dtype, param_dtype", [
@@ -361,7 +384,7 @@ def test_every_op_gradient_vs_finite_differences(name):
         elif name == "pow":
             out = (t + 4.0) ** 1.7
         elif name == "tanh":
-            out = t.tanh()
+            out = tanh(t)
         elif name == "clamp":
             out = t.clamp(-1.3, 1.3)
         elif name == "softmax":
@@ -427,7 +450,7 @@ def test_every_op_follows_float32_inputs(name):
         "neg": lambda t: -t,
         "log": lambda t: (t + 4.0).log(),
         "pow": lambda t: (t + 4.0) ** 1.7,
-        "tanh": lambda t: t.tanh(),
+        "tanh": tanh,
         "clamp": lambda t: t.clamp(-1.3, 1.3),
         "softmax": lambda t: t.softmax(axis=0),
         "sum_axis": lambda t: t.sum(axis=1),
@@ -442,8 +465,10 @@ def test_every_op_follows_float32_inputs(name):
     leaf = Tensor(rng.uniform(-2.0, 2.0, size=(3, 5)).astype(np.float32), requires_grad=True)
     out = ops[name](leaf)
     assert out.data.dtype == (np.float64 if name == "masked_mean" else np.float32)
-    for parent, vjp in zip(out._parents, out._vjps):
-        assert vjp(np.ones_like(out.data)).dtype == parent.data.dtype
+    contributions = out._vjp(np.ones_like(out.data))
+    assert len(contributions) == len(out._parents)
+    for parent, contribution in zip(out._parents, contributions):
+        assert contribution.dtype == parent.data.dtype
     loss = out if out.size == 1 else (out * _f32(rng.uniform(-1.0, 1.0, out.shape))).sum()
     loss.backward()
     assert leaf.grad.dtype == np.float32
@@ -476,11 +501,11 @@ def test_sum_and_masked_mean_accumulate_in_float64():
     total = x.sum()
     assert total.data.dtype == np.float64
     assert total.item() == values.astype(np.float64).sum()
-    assert total._vjps[0](np.array(1.0)).dtype == np.float32
+    assert total._vjp(np.array(1.0))[0].dtype == np.float32
     mean = x.masked_mean(mask)
     assert mean.data.dtype == np.float64
     assert mean.item() == values.astype(np.float64)[mask].mean()
-    assert mean._vjps[0](np.array(1.0)).dtype == np.float32
+    assert mean._vjp(np.array(1.0))[0].dtype == np.float32
     (total + mean).backward()
     assert x.grad.dtype == np.float32
     assert np.allclose(x.grad, 1.0 + mask / mask.sum())

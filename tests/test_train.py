@@ -143,13 +143,30 @@ def _assert_range(field, inside, outside):
 
 # scene counts >= 1, fill_prob in [0, 1], hidden_units >= 1: outside these numpy fails
 # without naming the field (high <= 0), a NaN fill_prob fills every cell, and 0 hidden
-# units leave the model no hidden layer
-@pytest.mark.parametrize("field, inside, outside", [
+# units leave the model no hidden layer; learning rates finite and > 0, step counts and
+# paste_count >= 0, perturbation magnitudes finite and >= 0, flip_prob in [0, 1]
+_NAN, _INF = float("nan"), float("inf")
+_COUNT_AND_PROBABILITY_RANGES = [
     ("source_scenes", [1], [0]),
     ("target_scenes", [1], [0]),
     ("fill_prob", [0.0, 1.0], [float("nan"), -_TINY, 1.5]),
     ("hidden_units", [1], [0]),
-], ids=["source_scenes", "target_scenes", "fill_prob", "hidden_units"])
+    ("learning_rate", [_TINY], [0.0, -1.0, _NAN, _INF]),
+    ("stage1_lr", [_TINY], [0.0, _NAN, _INF]),
+    ("stage2_lr", [_TINY], [0.0, -1.0, _NAN]),
+    ("pretrain_steps", [0], [-1, -5]),
+    ("stage1_steps", [0], [-1]),
+    ("stage2_steps", [0], [-1]),
+    ("paste_count", [0], [-1]),
+    ("perturb_noise", [0.0], [-_TINY, -0.1, _INF]),
+    ("perturb_brightness", [0.0], [-_TINY, _INF, _NAN]),
+    ("perturb_contrast", [0.0], [-_TINY, -0.2, _INF]),
+    ("flip_prob", [0.0, 1.0], [-_TINY, -0.5, _ABOVE_ONE, 2.0, _NAN]),
+]
+
+
+@pytest.mark.parametrize("field, inside, outside", _COUNT_AND_PROBABILITY_RANGES,
+                         ids=[row[0] for row in _COUNT_AND_PROBABILITY_RANGES])
 def test_config_checks_the_count_and_probability_fields_naming_the_field(field, inside,
                                                                           outside):
     _assert_range(field, inside, outside)
