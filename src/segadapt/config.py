@@ -96,6 +96,10 @@ class TrainConfig:
         yield "rare_weight", self.rare_weight > 0.0 or not only_foreground, \
             "be > 0 when the rare class is the only foreground class"
         yield "color_noise", _nonnegative(self.color_noise), "be finite and >= 0"
+        yield "shift_hue", math.isfinite(self.shift_hue), "be finite"
+        yield "shift_brightness", math.isfinite(self.shift_brightness) and \
+            self.shift_brightness > 0.0, "be finite and > 0"
+        yield "shift_noise", _nonnegative(self.shift_noise), "be finite and >= 0"
         yield "hidden_units", self.hidden_units >= 1, "be >= 1"
         for name in ("learning_rate", "stage1_lr", "stage2_lr"):
             rate = getattr(self, name)
@@ -106,12 +110,13 @@ class TrainConfig:
             yield name, _nonnegative(getattr(self, name)), "be finite and >= 0"
         yield "flip_prob", 0.0 <= self.flip_prob <= 1.0, "lie in [0, 1]"
         yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
-        yield "gamma", self.gamma >= 0.0, "be >= 0"
-        yield "lambda_u", self.lambda_u >= 0.0, "be >= 0"
-        yield "lambda_m", self.lambda_m >= 0.0, "be >= 0"
+        for name in ("gamma", "lambda_u", "lambda_m"):
+            value = getattr(self, name)
+            yield name, math.isfinite(value) and value >= 0.0, "be finite and >= 0"
         yield "threshold_a", 0.0 <= self.threshold_a < 1.0, "lie in [0, 1)"
         yield "threshold_b", 0.0 < self.threshold_b <= 1.0, "lie in (0, 1]"
-        yield "threshold_d", self.threshold_d >= 0.0, "be >= 0"
+        yield "threshold_d", math.isfinite(self.threshold_d) and self.threshold_d >= 0.0, \
+            "be finite and >= 0"
         yield "threshold_t0", 0.0 < self.threshold_t0 <= 1.0, "lie in (0, 1]"
 
 

@@ -27,6 +27,7 @@ detached copy serves as the soft target of an adjusted KL divergence whose
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,8 +147,8 @@ def _check_probmap(p: Tensor, epsilon: float = EPSILON, gamma: float = 0.0) -> N
         raise ValueError(f"probability map needs a class axis plus pixel axes, got shape {p.shape}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
 
 
 def _check_pair(a: Tensor, b: Tensor) -> None:

@@ -16,7 +16,11 @@ def write_csv(path, header: str, columns) -> None:
 
     A float (numpy float64 too) prints with 17 significant digits (``nan``
     stays ``nan``); any other value, a numpy float32 included, prints as
-    ``str(value)``.
+    ``str(value)``.  The header is written verbatim.  Each block of rows is
+    one ``%`` operation over a row template: a float64 array column is a
+    ``%.17g`` field, filled from the block's float64 columns stacked row by
+    row; every other cell is rendered by the rule above, ``%`` doubled, and
+    placed in the template as text.
     """
     columns = list(columns)
     lengths = [len(col) for col in columns]
@@ -25,14 +29,22 @@ def write_csv(path, header: str, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
-            cells = [_cells(col[lo:lo + _BLOCK_ROWS]) for col in columns]
-            fh.writelines([",".join(row) + "\n" for row in zip(*cells)])
+            block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
+            floats = [col for col in block if _is_float64(col)]
+            cells = [["%.17g"] * len(col) if _is_float64(col) else _text_cells(col)
+                     for col in block]
+            template = "".join([",".join(row) + "\n" for row in zip(*cells)])
+            values = np.column_stack(floats).ravel().tolist() if floats else []
+            fh.write(template % tuple(values))
 
 
-def _cells(column) -> list[str]:
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return [f"{v:.17g}" for v in column.tolist()]  # all floats: no per-value type test
-    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in column]
+def _is_float64(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
+
+
+def _text_cells(column) -> list[str]:
+    return [(f"{v:.17g}" if isinstance(v, float) else str(v)).replace("%", "%%")
+            for v in column]
 
 
 def _scaled_u8(values: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 The PPM/PGM readers read back what ``write_ppm`` and ``write_pgm`` wrote.
 ``csv_by_rows`` is the CSV writer's formatting rule applied one value at a
-time, row by row: the oracle for the column-wise ``write_csv``.
+time, row by row: the oracle for ``write_csv``, which formats a block of rows
+with one ``%`` operation over a row template.
 """
 
 import numpy as np

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from segadapt.cli import main
+from segadapt.gradcurves import curve, find_global_min
 from segadapt.netpbm import write_csv, write_pgm, write_ppm
 
 from _netpbm import csv_by_rows, read_pgm, read_ppm
@@ -67,6 +68,25 @@ def test_write_csv_formats_each_value_by_its_type(tmp_path):
     assert path.read_bytes() == csv_by_rows("i,b,c,d,e", zip(*long))
     with pytest.raises(ValueError, match="columns differ in length"):
         write_csv(path, "a,b", [[1, 2], [1.0]])
+    # text cells sit in the block's %-template with their % doubled, next to %.17g fields
+    # filled from float64 array columns; the header is written verbatim
+    text = ["50%", "%s", "%%", "%(x)s", "%.17g", 0.5, "plain"]
+    grad = np.array([0.1, -0.0, float("nan"), 5e-324, 1e300, -2.5, 1 / 3])
+    header = "kind %,p,%s,%(x)s"
+    path = tmp_path / "percent.csv"
+    columns = [text, grad, np.arange(7, dtype=np.float32), grad[::-1]]
+    write_csv(path, header, columns)
+    assert path.read_bytes() == csv_by_rows(header, zip(*columns))
+    assert path.read_text().splitlines()[:3] == [
+        "kind %,p,%s,%(x)s", "50%,0.10000000000000001,0.0,0.33333333333333331",
+        "%s,-0,1.0,-2.5"]
+    # longer than one block of rows, text cells first, between and after array columns
+    n = 2500
+    long = [[text[i % 7] for i in range(n)], np.resize(grad, n),
+            [text[(i + 3) % 7] for i in range(n)], np.linspace(-1.0, 1.0, n),
+            [f"{i}%" for i in range(n)]]
+    write_csv(path, header + ",r%", long)
+    assert path.read_bytes() == csv_by_rows(header + ",r%", zip(*long))
 
 
 def test_gen_data_writes_scene_files(tmp_path):
@@ -91,6 +111,33 @@ def test_gen_data_rejects_a_bad_config_before_writing(tmp_path, flags, field):
     out = tmp_path / "scenes"
     with pytest.raises(ValueError, match=f"^{field} must"):
         main(["gen-data", "--out", str(out), *flags])
+    assert not out.exists()
+
+
+def test_consecutive_main_calls_share_no_state_through_the_parser(tmp_path, capsys):
+    # the parser is built once per process; a call's flags and a failed parse do not
+    # carry over into the next call
+    first, last = tmp_path / "focal.csv", tmp_path / "all.csv"
+    assert main(["gradcurves", "--kind", "focal", "--gamma", "4", "--grid", "101",
+                 "--out", str(first)]) == 0
+    with pytest.raises(SystemExit):
+        main(["gradcurves", "--kind", "bogus", "--out", str(tmp_path / "bad.csv")])
+    capsys.readouterr()
+    assert main(["gradcurves", "--grid", "101", "--out", str(last)]) == 0
+    printed = capsys.readouterr().out
+    with open(last) as fh:
+        kinds = [row["loss_kind"] for row in csv.DictReader(fh)]
+    assert kinds == [k for k in ("shannon", "maxsquare", "focal") for _ in range(101)]
+    defaults = [f"{c.kind}: global minimum at p = {find_global_min(c):.4f}"
+                for c in (curve(k, grid=101) for k in ("shannon", "maxsquare", "focal"))]
+    assert [line.split(" (")[0] for line in printed.splitlines()[:3]] == defaults
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_gradcurves_rejects_an_infinite_gamma_naming_it(tmp_path):
+    out = tmp_path / "curves.csv"
+    with pytest.raises(ValueError, match="^gamma must"):
+        main(["gradcurves", "--gamma", "inf", "--out", str(out)])
     assert not out.exists()
 
 

@@ -216,7 +216,7 @@ def test_curve_makes_one_backward_per_curve(monkeypatch):
         assert len(calls) == 1, kind
 
 
-@pytest.mark.parametrize("gamma", [-0.5, float("nan")])
+@pytest.mark.parametrize("gamma", [-0.5, float("nan"), float("inf")])
 def test_curve_rejects_a_gamma_the_focal_loss_rejects(gamma):
     with pytest.raises(ValueError, match="^gamma must be >= 0"):
         curve("focal", gamma=gamma)

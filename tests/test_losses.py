@@ -612,7 +612,7 @@ def test_every_loss_rejects_an_epsilon_outside_the_open_unit_interval(epsilon):
     assert np.isfinite(shannon_entropy_loss(p, mask, epsilon=float(np.nextafter(1.0, 0.0))).item())
 
 
-@pytest.mark.parametrize("gamma", [-1.0, -_TINY, float("nan")])
+@pytest.mark.parametrize("gamma", [-1.0, -_TINY, float("nan"), float("inf")])
 def test_every_focal_loss_rejects_a_negative_or_nan_gamma(gamma):
     p = Tensor([[1.0, 0.5], [0.0, 0.5]])
     mask, labels = np.ones(2, dtype=bool), np.array([0, 1])

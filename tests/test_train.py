@@ -87,7 +87,7 @@ def test_config_round_trip_through_format(tmp_path):
     assert make_config(path) == cfg
 
 
-# the loss fields' edges: epsilon in (0, 1); gamma, lambda_u and lambda_m >= 0
+# the loss fields' edges: epsilon in (0, 1); gamma, lambda_u and lambda_m finite and >= 0
 _TINY = 5e-324  # the smallest positive double
 
 
@@ -104,6 +104,12 @@ _TINY = 5e-324  # the smallest positive double
     ("lambda_u", -_TINY, False),
     ("lambda_m", 0.0, True),
     ("lambda_m", -_TINY, False),
+    # an infinite gamma gives NaN focal terms; an infinite weight, an infinite loss
+    ("gamma", float("inf"), False),
+    ("lambda_u", float("inf"), False),
+    ("lambda_u", float("nan"), False),
+    ("lambda_m", float("inf"), False),
+    ("lambda_m", float("nan"), False),
 ])
 def test_config_checks_the_loss_fields_naming_the_field(field, value, ok):
     for build in (lambda: TrainConfig(**{field: value}),
@@ -115,14 +121,14 @@ def test_config_checks_the_loss_fields_naming_the_field(field, value, ok):
                 build()
 
 
-# the threshold EMA's edges: a in [0, 1), b in (0, 1], d >= 0, t0 in (0, 1]
+# the threshold EMA's edges: a in [0, 1), b in (0, 1], d finite and >= 0, t0 in (0, 1]
 _BELOW_ONE, _ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
 
 
 @pytest.mark.parametrize("field, inside, outside", [
     ("threshold_a", [0.0, _BELOW_ONE], [-_TINY, 1.0, float("nan")]),
     ("threshold_b", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
-    ("threshold_d", [0.0], [-_TINY, float("nan")]),
+    ("threshold_d", [0.0], [-_TINY, float("nan"), float("inf")]),
     ("threshold_t0", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
 ], ids=["threshold_a", "threshold_b", "threshold_d", "threshold_t0"])
 def test_config_checks_the_threshold_fields_naming_the_field(field, inside, outside):
@@ -169,6 +175,23 @@ _COUNT_AND_PROBABILITY_RANGES = [
                          ids=[row[0] for row in _COUNT_AND_PROBABILITY_RANGES])
 def test_config_checks_the_count_and_probability_fields_naming_the_field(field, inside,
                                                                           outside):
+    _assert_range(field, inside, outside)
+
+
+# the target domain's photometric shift: a finite hue offset (NaN gives an all-NaN image),
+# a finite brightness factor > 0 (-1 gives a near-black image), a noise scale that is
+# finite and >= 0 (a negative or NaN scale skipped the noise without a word)
+_MAX = float(np.finfo(np.float64).max)
+_SHIFT_RANGES = [
+    ("shift_hue", [-_MAX, -0.5, 0.0, _MAX], [_NAN, _INF, -_INF]),
+    ("shift_brightness", [_TINY, _MAX], [0.0, -_TINY, -1.0, _NAN, _INF]),
+    ("shift_noise", [0.0, _TINY], [-0.0, -_TINY, -0.5, _NAN, _INF]),
+]
+
+
+@pytest.mark.parametrize("field, inside, outside", _SHIFT_RANGES,
+                         ids=[row[0] for row in _SHIFT_RANGES])
+def test_config_checks_the_shift_fields_naming_the_field(field, inside, outside):
     _assert_range(field, inside, outside)
 
 
