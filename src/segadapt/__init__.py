@@ -6,7 +6,7 @@ cross-domain image mixing, a synthetic two-domain segmentation pipeline,
 and a binary gradient-landscape analyzer.
 """
 
-from segadapt.autodiff import Tensor, ShapeMismatchError, concat, take_cols
+from segadapt.autodiff import Tensor, ShapeMismatchError, concat, flip_width
 from segadapt.config import TrainConfig, make_config, parse_config_file
 from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.gradcurves import curve, emit_csv, find_global_min

@@ -2,7 +2,7 @@
 
 The engine is deliberately small: dense row-major storage, elementwise
 arithmetic (add, subtract, negate, multiply, power) with scalar
-broadcasting, log and clamp, column gather and concat, softmax, sums,
+broadcasting, log and clamp, concat and a horizontal flip, softmax, sums,
 masked means, and stop-gradient, plus the classifier's whole forward
 (``mlp_softmax``, (F, N) feature planes to a (C, N) map) as one node.  That
 is what the losses and the classifier use, and it keeps the backward pass
@@ -39,9 +39,9 @@ __all__ = [
     "Tensor",
     "ShapeMismatchError",
     "concat",
+    "flip_width",
     "make_node",
     "mlp_softmax",
-    "take_cols",
 ]
 
 _SCALARS = (int, float, np.integer, np.floating)
@@ -311,29 +311,15 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     return make_node(out, parents, vjp)
 
 
-def take_cols(x: Tensor, index) -> Tensor:
-    """Gather columns of a 2-D tensor, each at most once; backward scatters them back.
+def flip_width(x: Tensor, width: int) -> Tensor:
+    """Flip a (C, H*W) map of row-major (H, W) planes left to right; the VJP is the same flip."""
+    if x.data.ndim != 2 or width < 1 or x.shape[1] % width:
+        raise ShapeMismatchError(f"flip_width needs a 2-D map of width-{width} rows, got {x.shape}")
 
-    ``index`` is a permutation of the columns or a part of one: a column
-    picked twice (a negative index names its positive twin) is rejected.
-    """
-    x = _ensure_tensor(x)
-    idx = np.asarray(index, dtype=np.intp)
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"take_cols requires a 2-D tensor, got {x.shape}")
-    out = x.data[:, idx]
-    picked = np.zeros(x.shape[1], dtype=bool)
-    picked[idx] = True
-    repeats = idx.size - int(picked.sum())
-    if repeats:
-        raise ValueError(f"take_cols takes each column at most once; {repeats} picks repeat one")
+    def flip(a):
+        return a.reshape(a.shape[0], -1, width)[:, :, ::-1].reshape(a.shape)
 
-    def vjp(g):
-        acc = np.zeros_like(x.data)
-        acc[:, idx] = g
-        return (acc,)
-
-    return make_node(out, (x,), vjp)
+    return make_node(flip(x.data), (x,), lambda g: (flip(g),))
 
 
 # ------------------------------------------------------------------ helpers

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from segadapt.config import TrainConfig, make_config
-from segadapt.gradcurves import KINDS, REFERENCE_FOCAL_MIN, curve, emit_csv, find_global_min
+from segadapt.gradcurves import (GRID_POINTS, KINDS, REFERENCE_FOCAL_MIN, curve, emit_csv,
+                                 find_global_min)
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, pseudo_labels
 from segadapt.model import load_model, save_model
@@ -164,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS + ("all",), default="all")
     p.add_argument("--p-hat", dest="p_hat", type=float, default=0.6)
     p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--grid", type=int, default=1999)
+    p.add_argument("--grid", type=int, default=GRID_POINTS)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_gradcurves)
 

@@ -82,6 +82,7 @@ class TrainConfig:
             f"be in [2, {colors}] (one distinct color per class)"
         yield "source_scenes", self.source_scenes >= 1, "be >= 1"
         yield "target_scenes", self.target_scenes >= 1, "be >= 1"
+        yield "seed", self.seed >= 0, "be >= 0"
         yield "cell", self.cell >= 6, ("be at least 6, so that the shape side range "
                                        "[max(4, cell // 3), cell - 2] is not empty")
         for name in ("height", "width"):

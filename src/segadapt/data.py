@@ -33,7 +33,6 @@ __all__ = [
     "pixel_features",
     "NUM_FEATURES",
     "perturb",
-    "flip_permutation",
 ]
 
 # base colors: background gray, three well-separated hues, and a distinctive
@@ -146,8 +145,8 @@ def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,
     """Photometric jitter plus optional horizontal flip.
 
     Returns the perturbed image and whether it was flipped; a flipped
-    prediction is realigned with :func:`flip_permutation`.  Zero magnitudes
-    and ``flip_prob=0`` reproduce the input exactly.
+    prediction is realigned with :func:`segadapt.autodiff.flip_width`.
+    Zero magnitudes and ``flip_prob=0`` reproduce the input exactly.
     """
     out = np.asarray(image, dtype=np.float64)
     scale = 1.0 + rng.uniform(-contrast, contrast) if contrast > 0.0 else 1.0
@@ -159,8 +158,3 @@ def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,
     if flipped:
         out = out[:, :, ::-1]
     return np.clip(out, 0.0, 1.0), flipped
-
-
-def flip_permutation(height: int, width: int) -> np.ndarray:
-    """Flat pixel indices that horizontally flip a row-major (H, W) plane."""
-    return np.arange(height * width).reshape(height, width)[:, ::-1].ravel()

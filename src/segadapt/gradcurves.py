@@ -89,6 +89,10 @@ def curve(kind: str, p_hat: float = 0.6, gamma: float = 2.0,
         raise ValueError("grid needs at least 3 points")
     if not 0.0 < p_hat < 1.0:
         raise ValueError("p_hat must lie strictly inside (0, 1)")
+    if not 0.0 <= lo < 1.0:
+        raise ValueError(f"lo must lie in [0, 1), got {lo}")
+    if not lo < hi <= 1.0:
+        raise ValueError(f"hi must lie in (lo, 1], got {hi} with lo = {lo}")
     ps = np.linspace(lo, hi, grid)
     leaf = Tensor(ps[None, :], requires_grad=True)
     terms, loss = _points(kind, leaf, p_hat, gamma)

@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from segadapt.autodiff import take_cols
+from segadapt.autodiff import flip_width
 from segadapt.config import TrainConfig, format_config
-from segadapt.data import flip_permutation, generate_domain, perturb, pixel_features
+from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
@@ -141,7 +141,7 @@ def _target_branches(model, feats_t, image_t, rng_perturb, cfg):
                               brightness=cfg.perturb_brightness,
                               contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
     p_star = model.prob_map(_features(model, x_star))
-    p_hat = take_cols(p_t, flip_permutation(cfg.height, cfg.width)) if flipped else p_t
+    p_hat = flip_width(p_t, cfg.width) if flipped else p_t
     return p_hat, p_star
 
 

@@ -7,9 +7,9 @@ from segadapt.autodiff import (
     Tensor,
     ShapeMismatchError,
     concat,
+    flip_width,
     make_node,
     mlp_softmax,
-    take_cols,
 )
 
 from _chain import linear, tanh
@@ -218,7 +218,7 @@ def test_repeated_backward_accumulates_until_zeroed():
     assert np.array_equal(x.grad, [7.0])
 
 
-def test_concat_and_take_cols_gradients():
+def test_concat_and_flip_width_gradients():
     a = Tensor([[1.0]], requires_grad=True)
     b = Tensor([[2.0]], requires_grad=True)
     stacked = concat([a, b], axis=0)
@@ -227,29 +227,22 @@ def test_concat_and_take_cols_gradients():
     assert np.allclose(a.grad, [[3.0]])
     assert np.allclose(b.grad, [[5.0]])
 
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    perm = np.array([2, 0, 1])
-    y = take_cols(x, perm)
-    assert np.allclose(y.data, x.data[:, perm])
-    (y * Tensor(np.ones((2, 3)))).sum().backward()
-    assert np.allclose(x.grad, np.ones((2, 3)))
-
-    # part of a permutation, one column named by a negative index: each flow goes back
-    # to the column it came from, and the column not picked gets 0
-    x = Tensor(np.arange(8.0).reshape(2, 4), requires_grad=True)
-    part = take_cols(x, [3, -4, 1])
-    assert np.array_equal(part.data, x.data[:, [3, 0, 1]])
-    w = np.arange(6.0).reshape(2, 3)
-    (part * Tensor(w)).sum().backward()
-    assert np.array_equal(x.grad, np.stack([w[:, 1], w[:, 2], np.zeros(2), w[:, 0]], axis=1))
+    # two (2, 3) planes, rows [0 1 2] [3 4 5] and [6 7 8] [9 10 11]: each row reverses,
+    # and each flow goes back to the column it came from
+    x = Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+    y = flip_width(x, 3)
+    assert np.array_equal(y.data, [[2, 1, 0, 5, 4, 3], [8, 7, 6, 11, 10, 9]])
+    w = np.arange(12.0).reshape(2, 6) * 10.0
+    (y * Tensor(w)).sum().backward()
+    assert np.array_equal(x.grad, [[20, 10, 0, 50, 40, 30], [80, 70, 60, 110, 100, 90]])
+    assert np.array_equal(flip_width(y, 3).data, x.data)  # a flip is its own inverse
 
 
-@pytest.mark.parametrize("index", [[1, 1, 0], [2, 0, -1], [0, 1, 2, 0]],
-                         ids=["twice", "negative_twin", "full_plus_one"])
-def test_take_cols_rejects_a_column_picked_twice(index):
-    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    with pytest.raises(ValueError, match="at most once"):
-        take_cols(x, index)
+@pytest.mark.parametrize("shape, width", [((6,), 3), ((1, 2, 3), 3), ((2, 6), 4), ((2, 6), 0)],
+                         ids=["1d", "3d", "partial_row", "zero_width"])
+def test_flip_width_rejects_a_map_that_is_not_whole_rows(shape, width):
+    with pytest.raises(ShapeMismatchError, match="flip_width"):
+        flip_width(Tensor(np.zeros(shape)), width)
 
 
 def test_linear_gradients():
@@ -353,7 +346,7 @@ def test_mlp_softmax_rejects_mismatched_shapes_and_mixed_parameter_dtypes():
 
 
 OP_NAMES = ["add", "sub", "mul", "neg", "log", "pow", "tanh", "clamp", "softmax",
-            "sum_axis", "masked_mean", "linear", "take_cols", "mlp_softmax"]
+            "sum_axis", "masked_mean", "linear", "flip_width", "mlp_softmax"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -364,10 +357,9 @@ def test_every_op_gradient_vs_finite_differences(name):
     x0 = rng.uniform(-2.0, 2.0, size=(3, 5))
     other = rng.uniform(0.5, 2.0, size=(3, 5))
     mask = rng.random((3, 5)) < 0.6
-    cols = np.argsort(rng.integers(0, 5, size=5), kind="stable")  # a permutation, same draws
     weight = rng.uniform(-1.0, 1.0, size=(5, 5))
     bias = rng.uniform(-1.0, 1.0, size=5)
-    is_linear = name in ("add", "sub", "neg", "sum_axis", "linear", "take_cols")
+    is_linear = name in ("add", "sub", "neg", "sum_axis", "linear", "flip_width")
 
     def build(values):
         t = Tensor(values, requires_grad=True)
@@ -395,8 +387,8 @@ def test_every_op_gradient_vs_finite_differences(name):
             return t, t.masked_mean(mask)
         elif name == "linear":  # (3, 5) columns to (5, 5)
             out = linear(t, Tensor(weight[:3]), Tensor(bias))
-        elif name == "take_cols":
-            out = take_cols(t, cols)
+        elif name == "flip_width":  # (3, 5) is three planes of one row of 5
+            out = flip_width(t, 5)
         elif name == "mlp_softmax":
             out = mlp_softmax(t, Tensor(weight[:3]), Tensor(bias), Tensor(weight), Tensor(bias))
         else:
@@ -457,7 +449,7 @@ def test_every_op_follows_float32_inputs(name):
         "masked_mean": lambda t: t.masked_mean(mask),
         "linear": lambda t: linear(t, _f32(rng.uniform(-1.0, 1.0, size=(3, 5))),
                                    _f32(rng.uniform(-1.0, 1.0, size=5))),
-        "take_cols": lambda t: take_cols(t, [4, 0, 3, 2]),
+        "flip_width": lambda t: flip_width(t, 5),
         "mlp_softmax": lambda t: mlp_softmax(
             t, _f32(rng.uniform(-1.0, 1.0, size=(3, 4))), _f32(rng.uniform(-1.0, 1.0, size=4)),
             _f32(rng.uniform(-1.0, 1.0, size=(4, 3))), _f32(rng.uniform(-1.0, 1.0, size=3))),

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import uniform_filter
 
+from segadapt.autodiff import Tensor, flip_width
 from segadapt.config import TrainConfig, make_config
 from segadapt.data import (
     _BASE_COLORS,
     _HUE_DIRECTION,
     _scene_tables,
-    flip_permutation,
     generate_domain,
     perturb,
     pixel_features,
@@ -137,17 +137,18 @@ def test_flip_twice_is_identity():
     assert np.array_equal(image[:, :, ::-1][:, :, ::-1], image)
 
 
-def test_flip_permutation_aligns_predictions():
+def test_flip_width_aligns_predictions():
     # A per-pixel map of the flipped image equals the flipped map of the
-    # original image, so gathering columns by the permutation realigns them.
-    rng = np.random.default_rng(4)
-    h, w = 6, 9
-    probe = rng.random((2, h, w))  # any per-pixel quantity
-    flat = probe.reshape(2, -1)
-    flipped_flat = probe[:, :, ::-1].reshape(2, -1)
-    perm = flip_permutation(h, w)
-    assert np.array_equal(flat[:, perm], flipped_flat)
-    assert np.array_equal(perm[perm], np.arange(h * w))  # involution
+    # original image, so flip_width realigns the two branches.
+    image = np.random.default_rng(4).random((3, 6, 9))
+
+    def per_pixel(img):  # any map that reads each pixel on its own
+        e = np.exp(3.0 * img)
+        return (e / e.sum(axis=0)).reshape(3, -1)
+
+    realigned = flip_width(Tensor(per_pixel(image)), 9).data
+    assert np.array_equal(realigned, per_pixel(image[:, :, ::-1]))
+    assert np.array_equal(flip_width(Tensor(realigned), 9).data, per_pixel(image))  # involution
 
 
 def test_perturb_draws_flip_eventually():

@@ -127,6 +127,18 @@ def test_curve_input_validation():
         curve("shannon", grid=2)
     with pytest.raises(ValueError):
         curve("focal", p_hat=1.0)
+    # the grid bounds: both finite and 0 <= lo < hi <= 1, each named when it fails
+    nan, inf = float("nan"), float("inf")
+    for name, bounds in [("lo", {"lo": nan}), ("lo", {"lo": -0.5}), ("lo", {"lo": inf}),
+                         ("lo", {"lo": 1.0, "hi": 1.0}), ("hi", {"hi": inf}), ("hi", {"hi": nan}),
+                         ("hi", {"hi": 1.0 + 1e-12}), ("hi", {"lo": 0.9, "hi": 0.1}),
+                         ("hi", {"lo": 0.5, "hi": 0.5})]:
+        for kind in KINDS:
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                curve(kind, grid=11, **bounds)
+    for kind in KINDS:  # just inside: the closed ends of [0, 1]
+        c = curve(kind, grid=11, lo=0.0, hi=1.0)
+        assert c.p[0] == 0.0 and c.p[-1] == 1.0
 
 
 def test_emit_csv_round_trip(tmp_path, curves):

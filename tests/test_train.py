@@ -1,8 +1,13 @@
+import csv
 import dataclasses
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig, format_config, make_config, parse_config_file
@@ -147,14 +152,16 @@ def _assert_range(field, inside, outside):
                 build()
 
 
-# scene counts >= 1, fill_prob in [0, 1], hidden_units >= 1: outside these numpy fails
-# without naming the field (high <= 0), a NaN fill_prob fills every cell, and 0 hidden
-# units leave the model no hidden layer; learning rates finite and > 0, step counts and
-# paste_count >= 0, perturbation magnitudes finite and >= 0, flip_prob in [0, 1]
+# scene counts >= 1, seed >= 0, fill_prob in [0, 1], hidden_units >= 1: outside these
+# numpy fails without naming the field (high <= 0, a negative seed), a NaN fill_prob fills
+# every cell, and 0 hidden units leave the model no hidden layer; learning rates finite
+# and > 0, step counts and paste_count >= 0, perturbation magnitudes finite and >= 0,
+# flip_prob in [0, 1]
 _NAN, _INF = float("nan"), float("inf")
 _COUNT_AND_PROBABILITY_RANGES = [
     ("source_scenes", [1], [0]),
     ("target_scenes", [1], [0]),
+    ("seed", [0], [-1]),
     ("fill_prob", [0.0, 1.0], [float("nan"), -_TINY, 1.5]),
     ("hidden_units", [1], [0]),
     ("learning_rate", [_TINY], [0.0, -1.0, _NAN, _INF]),
@@ -193,6 +200,56 @@ _SHIFT_RANGES = [
                          ids=[row[0] for row in _SHIFT_RANGES])
 def test_config_checks_the_shift_fields_naming_the_field(field, inside, outside):
     _assert_range(field, inside, outside)
+
+
+# values just inside and just outside each field's range, as a tiny pipeline meets them;
+# huge finite magnitudes are no edge and are left out (a learning rate of 1e308 diverges)
+_EDGES = {
+    "num_classes": [1, 2, 5, 6], "source_scenes": [0, 1], "target_scenes": [0, 1],
+    "seed": [-1, 0], "cell": [5, 6, 8, 32], "height": [-16, 0, 15, 16, 48],
+    "width": [-16, 0, 15, 16, 48], "fill_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN],
+    "rare_class": [-1, 0, 1, 4, 5], "rare_weight": [-0.0, 0.0, _TINY, _NAN, _INF],
+    "color_noise": [-0.0, 0.0, _TINY, _NAN, _INF], "shift_hue": [-_MAX, _MAX, _NAN, -_INF],
+    "shift_brightness": [0.0, _TINY, _MAX, _NAN, _INF],
+    "shift_noise": [-0.0, 0.0, _TINY, _NAN, _INF], "hidden_units": [0, 1],
+    "learning_rate": [0.0, _TINY, _NAN, _INF], "stage1_lr": [0.0, _TINY, _NAN, _INF],
+    "stage2_lr": [0.0, _TINY, _NAN, _INF], "pretrain_steps": [-1, 0],
+    "stage1_steps": [-1, 0], "stage2_steps": [-1, 0], "paste_count": [-1, 0, 5],
+    "epsilon": [0.0, _TINY, _BELOW_ONE, 1.0, _NAN], "gamma": [-_TINY, 0.0, _TINY, _NAN, _INF],
+    "lambda_u": [-_TINY, 0.0, _NAN, _INF], "lambda_m": [-_TINY, 0.0, _NAN, _INF],
+    "threshold_a": [-_TINY, 0.0, _BELOW_ONE, 1.0, _NAN],
+    "threshold_b": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
+    "threshold_d": [-_TINY, 0.0, _NAN, _INF],
+    "threshold_t0": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
+    "perturb_noise": [-0.0, 0.0, _TINY, _NAN, _INF],
+    "perturb_brightness": [-0.0, 0.0, _TINY, _NAN, _INF],
+    "perturb_contrast": [-0.0, 0.0, _TINY, _NAN, _INF],
+    "flip_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN], "eval_every": [-1, 0, 1],
+}
+_NAMES_A_FIELD = re.compile(rf"^({'|'.join(f.name for f in dataclasses.fields(TrainConfig))}) must")
+# 32x32 scenes, cell 16, 4 scenes per domain, 3 steps per phase: about 20 ms a pipeline
+_TINY_RUN = dict(height=32, width=32, cell=16, source_scenes=4, target_scenes=4,
+                 pretrain_steps=3, stage1_steps=3, stage2_steps=3, eval_every=0)
+
+
+def test_config_edges_cover_every_field():
+    assert set(_EDGES) == {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+@settings(max_examples=100, deadline=None)  # about 1 s: one draw in five trains
+@given(st.lists(st.sampled_from([(f, v) for f, values in _EDGES.items() for v in values]),
+                min_size=1, max_size=3))
+def test_config_edges_fail_naming_a_field_or_train_to_finite_metrics(edits):
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            run_pipeline(TrainConfig(**{**_TINY_RUN, **dict(edits)}), out)
+        except ValueError as exc:
+            assert _NAMES_A_FIELD.match(str(exc)), exc
+            return
+        for stage in ("stage1", "stage2"):
+            with open(Path(out) / f"{stage}_metrics.csv", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert all(math.isfinite(float(v)) for row in rows for v in row), (stage, rows)
 
 
 # --------------------------------------------------------------------- model
@@ -349,10 +406,13 @@ def test_stage1_does_not_forget_source(small_run):
 def test_lambda_u_zero_matches_source_only_training(small_run):
     # With the unsupervised weight off, stage one is source-only training with
     # a different sampling order; the outcomes agree statistically.
-    cfg, source, target, base, _, _ = small_run
+    cfg, source, target, base, stage1_model, _ = small_run
     cfg0 = dataclasses.replace(cfg, lambda_u=0.0)
     m0, log0 = train_stage1(cfg0, datasets=(source, target), init_model=base)
     _, miou0 = evaluate_miou(m0, target, cfg.num_classes)
+    # stage one needs L_u: the twin without it adapts less (0.5286 against 0.5435 at seed 0)
+    _, miou1 = evaluate_miou(stage1_model, target, cfg.num_classes)
+    assert miou1 > miou0
     long_cfg = dataclasses.replace(cfg, pretrain_steps=cfg.pretrain_steps + cfg.stage1_steps)
     m_long = pretrain_source(long_cfg, source)
     _, miou_long = evaluate_miou(m_long, target, cfg.num_classes)
