@@ -107,8 +107,11 @@ class TrainConfig:
             yield name, math.isfinite(rate) and rate > 0.0, "be finite and > 0"
         for name in ("pretrain_steps", "stage1_steps", "stage2_steps", "paste_count"):
             yield name, getattr(self, name) >= 0, "be >= 0"
-        for name in ("perturb_noise", "perturb_brightness", "perturb_contrast"):
-            yield name, _nonnegative(getattr(self, name)), "be finite and >= 0"
+        yield "perturb_noise", _nonnegative(self.perturb_noise), "be finite and >= 0"
+        # a contrast swing above 1 can make the scale negative and invert the image;
+        # a brightness offset above 1 pushes every pixel past the clip
+        for name in ("perturb_brightness", "perturb_contrast"):
+            yield name, 0.0 <= getattr(self, name) <= 1.0, "lie in [0, 1]"
         yield "flip_prob", 0.0 <= self.flip_prob <= 1.0, "lie in [0, 1]"
         yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
         for name in ("gamma", "lambda_u", "lambda_m"):

@@ -99,14 +99,21 @@ def _check_finite(parts: StageLosses, step: int, stage: str) -> float:
 
 
 def _descend(model: PixelModel, loss, lr: float, step: int, stage: str) -> None:
-    """Backpropagate ``loss``, check every parameter gradient is finite, take an SGD step."""
+    """Backpropagate ``loss``, check every gradient is finite, take an SGD step, check it.
+
+    A finite gradient times a rate too large for the parameter dtype still
+    writes inf or nan, so each updated parameter is checked as well.
+    """
     loss.backward()
-    for name, p in zip(("w1", "b1", "w2", "b2"), model.params):
+    names = ("w1", "b1", "w2", "b2")
+    for name, p in zip(names, model.params):
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
-    for p in model.params:
+    for name, p in zip(names, model.params):
         p.data = p.data - p.data.dtype.type(lr) * p.grad
         p.zero_grad()
+        if not np.all(np.isfinite(p.data)):
+            raise TrainingDiverged(f"non-finite {stage} update of {name} at step {step}")
 
 
 def _features(model: PixelModel, image) -> np.ndarray:

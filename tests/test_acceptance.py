@@ -395,6 +395,8 @@ def second_pipeline_run(tmp_path_factory):
 
     It starts before criterion 7's in-process run and runs alongside it, so
     the two runs overlap, and the byte comparison also spans two processes.
+    It runs in a session of its own, outside the suite's per-test check for
+    child processes (tests/conftest.py).
     Yields the process, its output directory and the file holding its stderr.
     """
     out = tmp_path_factory.mktemp("pipeline_b")
@@ -406,7 +408,7 @@ def second_pipeline_run(tmp_path_factory):
         child = subprocess.Popen(
             [sys.executable, "-c", _SECOND_RUN,
              json.dumps(dataclasses.asdict(ACCEPTANCE_CONFIG)), str(out)],
-            env=env, stdout=subprocess.DEVNULL, stderr=stderr)
+            env=env, stdout=subprocess.DEVNULL, stderr=stderr, start_new_session=True)
     try:
         yield child, out, stderr_path
     finally:

@@ -1,8 +1,11 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from segadapt.losses import IGNORE_LABEL
-from segadapt.metrics import confusion_matrix, evaluate_miou, iou_from_confusion
+from segadapt.metrics import MIN_SHARE, confusion_matrix, evaluate_miou, iou_from_confusion
 
 
 class _ConstantModel:
@@ -94,3 +97,124 @@ def test_evaluate_miou_accumulates_over_scenes():
     # per class TP=16, FP=16, FN=16 -> IoU = 1/3
     assert np.allclose(iou, 1.0 / 3.0)
     assert miou == pytest.approx(1.0 / 3.0)
+
+
+def test_an_empty_dataset_raises():
+    with pytest.raises(ValueError, match="^dataset is empty"):
+        evaluate_miou(_ConstantModel(np.zeros((4, 4), dtype=int)), [], 2)
+
+
+# ------------------------------------------------------- forked evaluation
+
+class _EchoModel:
+    """Predicts the label map stored as the scene's image."""
+
+    def predict_labels(self, image):
+        return image
+
+
+def _shares(seed, scenes=2 * MIN_SHARE // 1024 + 1, num_classes=5):
+    """32x32 scenes of random predictions and truth, 10% IGNORE; by default just
+    over two workers' worth of label pixels."""
+    rng = np.random.default_rng(seed)
+    truth = rng.integers(0, num_classes, size=(scenes, 32, 32), dtype=np.uint8)
+    truth[rng.random(truth.shape) < 0.1] = IGNORE_LABEL
+    pred = rng.integers(0, num_classes, size=truth.shape, dtype=np.uint8)
+    return list(zip(pred, truth))
+
+
+def _serial_sum(dataset, num_classes=5):
+    total = np.zeros((num_classes, num_classes), dtype=np.int64)
+    for pred, truth in dataset:
+        total += confusion_matrix(pred, truth, num_classes)
+    return iou_from_confusion(total)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Allow two CPUs; returns the list of children forked by this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forked, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forked
+
+
+def test_forked_evaluation_equals_the_serial_sum_bit_for_bit(two_cpus):
+    dataset = _shares(0)
+    iou, miou = evaluate_miou(_EchoModel(), dataset, 5)
+    assert len(two_cpus) == 1
+    want_iou, want_miou = _serial_sum(dataset)
+    assert iou.tobytes() == want_iou.tobytes()
+    assert miou == want_miou
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("scene", [0, -1], ids=["callers_slice", "childs_slice"])
+def test_a_bad_label_raises_the_serial_error_and_leaves_no_child(two_cpus, scene):
+    dataset = _shares(1)
+    dataset[scene][1][5, 7] = 5
+    with pytest.raises(ValueError) as serial:
+        _serial_sum(dataset)
+    with pytest.raises(ValueError) as forked:
+        evaluate_miou(_EchoModel(), dataset, 5)
+    assert str(forked.value) == str(serial.value) == "labels outside [0, 5): truth [5]"
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
+
+
+class _SilentChildModel(_EchoModel):
+    """Leaves any forked child at its first scene, with exit code 0 and no counts sent."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def predict_labels(self, image):
+        if os.getpid() != self.pid:
+            os._exit(0)
+        return image
+
+
+def test_a_child_that_sends_no_counts_has_its_slice_counted_by_the_caller(two_cpus):
+    dataset = _shares(2)
+    iou, miou = evaluate_miou(_SilentChildModel(), dataset, 5)
+    assert len(two_cpus) == 1
+    want_iou, want_miou = _serial_sum(dataset)
+    assert iou.tobytes() == want_iou.tobytes() and miou == want_miou
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "one_cpu_counted", "thread", "under_two_shares"])
+def test_the_serial_fallback_never_forks(monkeypatch, case):
+    dataset = _shares(3, scenes=2 * MIN_SHARE // 1024 - 1 if case == "under_two_shares"
+                      else 2 * MIN_SHARE // 1024 + 1)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("evaluate_miou forked"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one_cpu" else {0, 1},
+                        raising=False)
+    if case == "one_cpu_counted":  # no affinity call: the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if case == "thread":
+        waiter.start()
+    try:
+        iou, miou = evaluate_miou(_EchoModel(), dataset, 5)
+    finally:
+        release.set()
+        if case == "thread":
+            waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    want_iou, want_miou = _serial_sum(dataset)
+    assert iou.tobytes() == want_iou.tobytes() and miou == want_miou

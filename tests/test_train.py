@@ -172,8 +172,8 @@ _COUNT_AND_PROBABILITY_RANGES = [
     ("stage2_steps", [0], [-1]),
     ("paste_count", [0], [-1]),
     ("perturb_noise", [0.0], [-_TINY, -0.1, _INF]),
-    ("perturb_brightness", [0.0], [-_TINY, _INF, _NAN]),
-    ("perturb_contrast", [0.0], [-_TINY, -0.2, _INF]),
+    ("perturb_brightness", [0.0, 1.0], [-_TINY, _ABOVE_ONE, _INF, _NAN]),
+    ("perturb_contrast", [0.0, 1.0], [-_TINY, -0.2, _ABOVE_ONE, _INF]),
     ("flip_prob", [0.0, 1.0], [-_TINY, -0.5, _ABOVE_ONE, 2.0, _NAN]),
 ]
 
@@ -222,8 +222,8 @@ _EDGES = {
     "threshold_d": [-_TINY, 0.0, _NAN, _INF],
     "threshold_t0": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
     "perturb_noise": [-0.0, 0.0, _TINY, _NAN, _INF],
-    "perturb_brightness": [-0.0, 0.0, _TINY, _NAN, _INF],
-    "perturb_contrast": [-0.0, 0.0, _TINY, _NAN, _INF],
+    "perturb_brightness": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
+    "perturb_contrast": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
     "flip_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN], "eval_every": [-1, 0, 1],
 }
 _NAMES_A_FIELD = re.compile(rf"^({'|'.join(f.name for f in dataclasses.fields(TrainConfig))}) must")
@@ -527,6 +527,16 @@ def test_non_finite_gradient_of_finite_loss_names_its_step(monkeypatch):
     monkeypatch.setattr(train_module, "stage1_loss", _poison_gradient(stage1_loss, bad_call=4))
     with pytest.raises(TrainingDiverged, match="stage1 gradient of w1 at step 3"):
         train_stage1(cfg, datasets=(source, target), init_model=base)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_a_rate_that_overflows_the_update_names_its_stage_and_step(tmp_path, stage):
+    # float32(1.8e308) is inf: the first step writes inf and nan parameters, which
+    # stage two's long-tail paste met as numpy's "Probabilities contain NaN"
+    cfg = TrainConfig(**{**_TINY_RUN, f"{stage}_lr": _MAX})
+    with pytest.raises(TrainingDiverged, match=rf"^non-finite {stage} update of w1 at step 0$"):
+        run_pipeline(cfg, tmp_path)
 
 
 def test_pipeline_outputs_and_determinism(tmp_path):
