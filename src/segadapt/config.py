@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from segadapt.data import _BASE_COLORS
 
 __all__ = ["TrainConfig", "parse_config_file", "make_config", "format_config"]
+
+# a field's annotation -> the values it takes (bool excluded) and their name in messages
+_KINDS = {"int": (numbers.Integral, "an int"), "float": (numbers.Real, "a number")}
 
 
 @dataclass
@@ -75,8 +79,14 @@ class TrainConfig:
         rely on them: ``height % cell`` runs once ``cell >= 6`` did.  Outside
         these ranges a scene cannot be generated as asked, training has
         nothing to fit or steps by a NaN, the losses give NaN, or thresholds
-        freeze or mask out every pixel.
+        freeze or mask out every pixel.  The first rows check each field's
+        type: an int field takes any integer (numpy's too), a float field any
+        real number, and neither takes a bool.
         """
+        for f in dataclasses.fields(self):
+            kind, word = _KINDS[f.type]
+            value = getattr(self, f.name)
+            yield f.name, isinstance(value, kind) and not isinstance(value, bool), f"be {word}"
         colors = len(_BASE_COLORS)
         yield "num_classes", 2 <= self.num_classes <= colors, \
             f"be in [2, {colors}] (one distinct color per class)"
@@ -122,6 +132,7 @@ class TrainConfig:
         yield "threshold_d", math.isfinite(self.threshold_d) and self.threshold_d >= 0.0, \
             "be finite and >= 0"
         yield "threshold_t0", 0.0 < self.threshold_t0 <= 1.0, "lie in (0, 1]"
+        yield "eval_every", self.eval_every >= 0, "be >= 0"
 
 
 def _nonnegative(value: float) -> bool:
@@ -136,12 +147,11 @@ def _coerce(name: str, raw: str):
     if name not in _FIELDS:
         raise KeyError(f"unknown config key: {name!r}")
     raw = raw.strip()
-    is_int = _FIELDS[name].type == "int"
+    kind = _FIELDS[name].type
     try:
-        return int(raw) if is_int else float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError:
-        kind = "an int" if is_int else "a number"
-        raise ValueError(f"{name} must be {kind}, got {raw!r}") from None
+        raise ValueError(f"{name} must be {_KINDS[kind][1]}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:

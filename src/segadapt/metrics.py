@@ -1,23 +1,22 @@
 """Segmentation evaluation: per-class intersection-over-union and its mean.
 
-``evaluate_miou`` forks when a dataset is large: with at least ``MIN_SHARE``
-label pixels per worker and more than one allowed CPU, the scenes are split
-into contiguous slices, one per worker.  The calling process counts the first
-slice and each forked child counts one other, and the parent adds the (C, C)
-matrices.  Counts are integers, so the sum is exactly the serial matrix and
-the IoU bytes are the serial ones.  It runs serially with one worker, where
-``os.fork`` is missing, and while another thread runs, since forking a
-threaded process is unsafe.  A child that fails or sends short data has its
-slice counted again by the parent, so a caller meets the serial code's error.
-A traced benchmark run sees the spans of the calling process only: on
-``inference``, traced ``model.prob_map.calls`` and ``data.pixel_features.calls``
-read about half the scene count.
+``evaluate_miou`` splits a large dataset (``MIN_SHARE`` label pixels per
+worker, more than one allowed CPU) into contiguous scene slices.  The caller
+counts the first; a child from ``multiprocessing``'s fork context counts each
+other one and sends its int64 matrix through a pipe.  Counts are integers, so
+the sum is the serial matrix and the IoU bytes are the serial ones.  It runs
+serially with one worker, where the platform cannot fork, inside a daemonic
+process and while another thread runs.  The caller recounts the slice of a
+child that fails or sends short data, so errors read as serially, and every
+child is reaped on every path.  A traced benchmark run sees the caller's spans
+only.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import signal
+import sys
 import threading
 
 import numpy as np
@@ -37,11 +36,15 @@ MIN_SHARE = 1 << 17
 def confusion_matrix(predicted, truth, num_classes: int) -> np.ndarray:
     """(C, C) counts with rows = truth, columns = prediction; IGNORE truth skipped.
 
-    The bin index is computed in intp, so uint8 label maps do not wrap.  A
-    label outside [0, C) would be counted in another row, so it raises.
+    The bin index is computed in intp, so uint8 label maps do not wrap.  Maps
+    of different shapes would be counted misaligned, and a label outside
+    [0, C) in another row, so both raise.
     """
-    predicted = np.asarray(predicted).ravel()
-    truth = np.asarray(truth).ravel()
+    predicted, truth = np.asarray(predicted), np.asarray(truth)
+    if predicted.shape != truth.shape:
+        raise ValueError(f"predicted shape {predicted.shape} differs from truth shape "
+                         f"{truth.shape}")
+    predicted, truth = predicted.ravel(), truth.ravel()
     keep = truth != IGNORE_LABEL
     truth, predicted = truth[keep], predicted[keep]
     if truth.size and not (truth.max() < num_classes and truth.min() >= 0
@@ -76,7 +79,8 @@ def _confusion(model, scenes, num_classes: int) -> np.ndarray:
 
 def _workers(scenes) -> int:
     """Processes to count ``scenes`` with: one per allowed CPU, each with ``MIN_SHARE`` pixels."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or multiprocessing.current_process().daemon):
         return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -84,26 +88,12 @@ def _workers(scenes) -> int:
     return max(1, min(cpus, pixels // MIN_SHARE, len(scenes)))
 
 
-def _fork(model, scenes, num_classes: int):
-    """Start a child that writes the int64 counts of ``scenes`` to a pipe; (pid, pipe)."""
-    read_fd, write_fd = os.pipe()
+def _send_counts(model, scenes, num_classes: int, pipe) -> None:
+    """A child's target: send the int64 counts of ``scenes``, or exit 1 without a traceback."""
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child never returns into the caller's code
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_confusion(model, scenes, num_classes).tobytes())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+        pipe.send_bytes(_confusion(model, scenes, num_classes))
+    except Exception:
+        sys.exit(1)
 
 
 def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
@@ -118,24 +108,30 @@ def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
     workers = _workers(scenes)
     cuts = [len(scenes) * k // workers for k in range(workers + 1)]
     own, *parts = [scenes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    children = {}  # pid -> (pipe, slice) of every child not yet reaped
+    children = []  # (process, read end, slice) of every started child
     try:
         for part in parts:
-            pid, pipe = _fork(model, part, num_classes)
-            children[pid] = (pipe, part)
+            fork = multiprocessing.get_context("fork")
+            pipe, child_end = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send_counts, args=(model, part, num_classes, child_end))
+            child.start()
+            children.append((child, pipe, part))
+            child_end.close()
         total = _confusion(model, own, num_classes)
-        for pid, (pipe, part) in list(children.items()):
-            data = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if os.waitstatus_to_exitcode(status) == 0 and len(data) == total.nbytes:
+        for child, pipe, part in children:
+            try:
+                data = pipe.recv_bytes()
+            except (EOFError, OSError):  # no message, or a cut one
+                data = b""
+            child.join()
+            if child.exitcode == 0 and len(data) == total.nbytes:
                 total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
             else:
                 total += _confusion(model, part, num_classes)
     finally:
-        for pid, (pipe, _) in children.items():
+        for child, pipe, _ in children:
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if child.exitcode is None:  # polls, so an exited child is reaped here
+                child.kill()
+                child.join()
     return iou_from_confusion(total)

@@ -254,7 +254,8 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
 
     Returns a summary dict; when ``out_dir`` is given, writes the metrics,
     threshold, and IoU CSVs there (deterministic bytes under a fixed seed),
-    plus ``config.txt``, the config in the format ``make_config`` reads.
+    the periodic evaluations when ``eval_every > 0``, and ``config.txt``,
+    the config in the format ``make_config`` reads.
     """
     source, target, _ = build_datasets(cfg)
     datasets = (source, target)
@@ -282,6 +283,9 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
         write_thresholds_csv(out / "stage2_thresholds.csv", log2.thresholds)
         write_iou_csv(out / "stage2_ious.csv", s2_iou, s2_miou)
         write_iou_csv(out / "baseline_ious.csv", base_iou, base_miou)
+        if cfg.eval_every > 0:
+            write_csv(out / "stage1_evals.csv", "step,target_miou", zip(*log1.evals))
+            write_csv(out / "stage2_evals.csv", "step,target_miou", zip(*log2.evals))
 
     return {
         "baseline_model": baseline,

@@ -1,4 +1,6 @@
+import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -85,6 +87,17 @@ def test_out_of_range_labels_raise_naming_them():
     ignored = np.array([IGNORE_LABEL, 0, 2], dtype=np.uint8)
     assert confusion_matrix(np.array([200, 0, 2]), ignored, 3).tolist() == [
         [1, 0, 0], [0, 0, 0], [0, 0, 1]]
+
+
+# of the same size, raveled maps would be paired misaligned ((5, 4) against (4, 5) as
+# [[20, 0], [0, 0]]); of different sizes, numpy's boolean index would not match
+@pytest.mark.parametrize("pred_shape, truth_shape", [((5, 4), (4, 5)), ((4, 4), (4, 5))],
+                         ids=["same_size", "different_size"])
+def test_maps_of_different_shapes_raise_naming_both(pred_shape, truth_shape):
+    message = f"predicted shape {pred_shape} differs from truth shape {truth_shape}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        confusion_matrix(np.zeros(pred_shape, dtype=np.uint8),
+                         np.zeros(truth_shape, dtype=np.uint8), 2)
 
 
 def test_evaluate_miou_accumulates_over_scenes():
@@ -218,3 +231,39 @@ def test_the_serial_fallback_never_forks(monkeypatch, case):
     assert not waiter.is_alive()
     want_iou, want_miou = _serial_sum(dataset)
     assert iou.tobytes() == want_iou.tobytes() and miou == want_miou
+
+
+def _evaluate_in_a_daemon(dataset, forked, pipe):
+    iou, miou = evaluate_miou(_EchoModel(), dataset, 5)
+    pipe.send((iou.tobytes(), miou, len(forked)))
+
+
+def test_a_daemonic_process_evaluates_serially(two_cpus):
+    # multiprocessing lets no daemonic process start children of its own
+    dataset = _shares(4)
+    fork = multiprocessing.get_context("fork")
+    pipe, child_end = fork.Pipe(duplex=False)
+    daemon = fork.Process(target=_evaluate_in_a_daemon, args=(dataset, two_cpus, child_end),
+                          daemon=True)
+    daemon.start()
+    child_end.close()
+    try:
+        got_iou, got_miou, forks_in_daemon = pipe.recv()
+    finally:
+        pipe.close()
+        daemon.join(timeout=60.0)
+    assert daemon.exitcode == 0 and forks_in_daemon == 0
+    assert len(two_cpus) == 1  # the daemon itself
+    want_iou, want_miou = _serial_sum(dataset)
+    assert got_iou == want_iou.tobytes() and got_miou == want_miou
+    _assert_no_child_left()
+
+
+def test_a_failing_child_exits_without_writing_to_stderr(two_cpus, capfd):
+    dataset = _shares(5)
+    dataset[-1][1][3, 2] = 7
+    with pytest.raises(ValueError, match=r"^labels outside \[0, 5\): truth \[7\]$"):
+        evaluate_miou(_EchoModel(), dataset, 5)
+    assert len(two_cpus) == 1
+    assert capfd.readouterr().err == ""
+    _assert_no_child_left()

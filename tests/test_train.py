@@ -85,6 +85,38 @@ def test_config_names_the_field_of_a_malformed_value(tmp_path, field, raw, kind)
         parse_config_file(path)
 
 
+# a wrong-typed value fails on its type row, before a range row or a later use
+# (``range(2.5)``, ``default_rng(True)``) meets it with a message that names no field
+@pytest.mark.parametrize("field, value, got", [
+    ("pretrain_steps", 2.5, "an int, got 2.5"),
+    ("height", 32.0, "an int, got 32.0"),
+    ("hidden_units", 4.0, "an int, got 4.0"),
+    ("source_scenes", 2.0, "an int, got 2.0"),
+    ("paste_count", 1.5, "an int, got 1.5"),
+    ("eval_every", 2.5, "an int, got 2.5"),
+    ("seed", True, "an int, got True"),
+    ("seed", np.bool_(True), "an int, got True"),
+    ("gamma", "2", "a number, got 2"),
+    ("lambda_u", False, "a number, got False"),
+    ("threshold_a", None, "a number, got None"),
+], ids=["steps_float", "height_float", "hidden_float", "scenes_float", "paste_float",
+        "eval_every_float", "seed_bool", "seed_numpy_bool", "gamma_str", "lambda_u_bool",
+        "threshold_a_none"])
+def test_config_checks_each_fields_type_first_naming_the_field(field, value, got):
+    message = f"^{field} must be {re.escape(got)}$"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(TrainConfig(), **{field: value})
+
+
+def test_config_takes_numpy_integers_and_any_real_number_for_a_float_field():
+    cfg = TrainConfig(height=np.int64(32), seed=np.uint8(3), hidden_units=np.int32(4),
+                      gamma=2, lambda_u=np.float32(0.5), threshold_d=np.int16(8))
+    assert (cfg.height, cfg.seed, cfg.hidden_units) == (32, 3, 4)
+    assert (cfg.gamma, cfg.lambda_u, cfg.threshold_d) == (2.0, 0.5, 8.0)
+
+
 def test_config_round_trip_through_format(tmp_path):
     cfg = TrainConfig(seed=9, gamma=3.0)
     path = tmp_path / "dump.cfg"
@@ -156,7 +188,7 @@ def _assert_range(field, inside, outside):
 # numpy fails without naming the field (high <= 0, a negative seed), a NaN fill_prob fills
 # every cell, and 0 hidden units leave the model no hidden layer; learning rates finite
 # and > 0, step counts and paste_count >= 0, perturbation magnitudes finite and >= 0,
-# flip_prob in [0, 1]
+# flip_prob in [0, 1], eval_every >= 0 (a negative one would evaluate nothing without a word)
 _NAN, _INF = float("nan"), float("inf")
 _COUNT_AND_PROBABILITY_RANGES = [
     ("source_scenes", [1], [0]),
@@ -175,6 +207,7 @@ _COUNT_AND_PROBABILITY_RANGES = [
     ("perturb_brightness", [0.0, 1.0], [-_TINY, _ABOVE_ONE, _INF, _NAN]),
     ("perturb_contrast", [0.0, 1.0], [-_TINY, -0.2, _ABOVE_ONE, _INF]),
     ("flip_prob", [0.0, 1.0], [-_TINY, -0.5, _ABOVE_ONE, 2.0, _NAN]),
+    ("eval_every", [0, 1], [-1]),
 ]
 
 
@@ -202,21 +235,24 @@ def test_config_checks_the_shift_fields_naming_the_field(field, inside, outside)
     _assert_range(field, inside, outside)
 
 
-# values just inside and just outside each field's range, as a tiny pipeline meets them;
-# huge finite magnitudes are no edge and are left out (a learning rate of 1e308 diverges)
+# values just inside and just outside each field's range, as a tiny pipeline meets them,
+# wrong-typed values and numpy integers or ints that a field takes; huge finite
+# magnitudes are no edge and are left out (a learning rate of 1e308 diverges)
 _EDGES = {
-    "num_classes": [1, 2, 5, 6], "source_scenes": [0, 1], "target_scenes": [0, 1],
-    "seed": [-1, 0], "cell": [5, 6, 8, 32], "height": [-16, 0, 15, 16, 48],
-    "width": [-16, 0, 15, 16, 48], "fill_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN],
+    "num_classes": [1, 2, 5, 6], "source_scenes": [0, 1, 2.0], "target_scenes": [0, 1],
+    "seed": [-1, 0, True], "cell": [5, 6, 8, 32],
+    "height": [-16, 0, 15, 16, 48, 32.0, np.int64(32)], "width": [-16, 0, 15, 16, 48],
+    "fill_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN],
     "rare_class": [-1, 0, 1, 4, 5], "rare_weight": [-0.0, 0.0, _TINY, _NAN, _INF],
     "color_noise": [-0.0, 0.0, _TINY, _NAN, _INF], "shift_hue": [-_MAX, _MAX, _NAN, -_INF],
     "shift_brightness": [0.0, _TINY, _MAX, _NAN, _INF],
-    "shift_noise": [-0.0, 0.0, _TINY, _NAN, _INF], "hidden_units": [0, 1],
+    "shift_noise": [-0.0, 0.0, _TINY, _NAN, _INF], "hidden_units": [0, 1, 4.0, np.int32(4)],
     "learning_rate": [0.0, _TINY, _NAN, _INF], "stage1_lr": [0.0, _TINY, _NAN, _INF],
-    "stage2_lr": [0.0, _TINY, _NAN, _INF], "pretrain_steps": [-1, 0],
-    "stage1_steps": [-1, 0], "stage2_steps": [-1, 0], "paste_count": [-1, 0, 5],
-    "epsilon": [0.0, _TINY, _BELOW_ONE, 1.0, _NAN], "gamma": [-_TINY, 0.0, _TINY, _NAN, _INF],
-    "lambda_u": [-_TINY, 0.0, _NAN, _INF], "lambda_m": [-_TINY, 0.0, _NAN, _INF],
+    "stage2_lr": [0.0, _TINY, _NAN, _INF], "pretrain_steps": [-1, 0, 2.5],
+    "stage1_steps": [-1, 0], "stage2_steps": [-1, 0], "paste_count": [-1, 0, 5, 1.5],
+    "epsilon": [0.0, _TINY, _BELOW_ONE, 1.0, _NAN],
+    "gamma": [-_TINY, 0.0, _TINY, _NAN, _INF, 2, "2"],
+    "lambda_u": [-_TINY, 0.0, _NAN, _INF, False], "lambda_m": [-_TINY, 0.0, _NAN, _INF],
     "threshold_a": [-_TINY, 0.0, _BELOW_ONE, 1.0, _NAN],
     "threshold_b": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
     "threshold_d": [-_TINY, 0.0, _NAN, _INF],
@@ -224,7 +260,7 @@ _EDGES = {
     "perturb_noise": [-0.0, 0.0, _TINY, _NAN, _INF],
     "perturb_brightness": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
     "perturb_contrast": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
-    "flip_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN], "eval_every": [-1, 0, 1],
+    "flip_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN], "eval_every": [-1, 0, 1, 2.5],
 }
 _NAMES_A_FIELD = re.compile(rf"^({'|'.join(f.name for f in dataclasses.fields(TrainConfig))}) must")
 # 32x32 scenes, cell 16, 4 scenes per domain, 3 steps per phase: about 20 ms a pipeline
@@ -551,6 +587,25 @@ def test_pipeline_outputs_and_determinism(tmp_path):
     for name in files:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
     assert make_config(a_dir / "config.txt") == cfg
+
+
+@pytest.mark.parametrize("eval_every, steps", [(0, None), (1, [0, 1, 2]), (2, [1]), (4, [])])
+def test_pipeline_writes_the_periodic_evaluations_when_asked(tmp_path, eval_every, steps):
+    cfg = TrainConfig(**{**_TINY_RUN, "eval_every": eval_every})
+    res = run_pipeline(cfg, tmp_path / "a")
+    run_pipeline(cfg, tmp_path / "b")
+    for stage in ("stage1", "stage2"):
+        path = tmp_path / "a" / f"{stage}_evals.csv"
+        if steps is None:
+            assert not path.exists()
+            continue
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
+        header, *rows = csv.reader(path.read_text(encoding="utf-8").splitlines())
+        assert header == ["step", "target_miou"]
+        assert [int(step) for step, _ in rows] == steps
+        assert [float(miou) for _, miou in rows] == [m for _, m in res[f"{stage}_log"].evals]
+        if eval_every == 1:  # the last evaluation scores the stage's final model
+            assert float(rows[-1][1]) == res[f"{stage}_target_miou"]
 
 
 def test_write_iou_csv_writes_nan_for_a_class_without_pixels(tmp_path):
