@@ -23,7 +23,7 @@ import numpy as np
 
 from segadapt.losses import IGNORE_LABEL
 
-__all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou"]
+__all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou", "fork_cpus"]
 
 # Label pixels per worker at which a fork-join breaks even.  On a 2-core x86-64
 # host a fork-join cost 5 ms from a 117 MB process (the pipeline) and 14 ms
@@ -77,15 +77,24 @@ def _confusion(model, scenes, num_classes: int) -> np.ndarray:
     return total
 
 
-def _workers(scenes) -> int:
-    """Processes to count ``scenes`` with: one per allowed CPU, each with ``MIN_SHARE`` pixels."""
+def fork_cpus() -> int:
+    """The allowed CPUs a fork-join may use; 1 where this process may not fork.
+
+    It may not without ``os.fork``, while another thread runs (a forked child
+    gets a copy of every lock that thread holds), or in a daemonic process
+    (multiprocessing lets a daemon start no children).
+    """
     if (not hasattr(os, "fork") or threading.active_count() > 1
             or multiprocessing.current_process().daemon):
         return 1
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+
+
+def _workers(scenes) -> int:
+    """Processes to count ``scenes`` with: one per allowed CPU, each with ``MIN_SHARE`` pixels."""
     pixels = sum(np.size(labels) for _, labels in scenes)
-    return max(1, min(cpus, pixels // MIN_SHARE, len(scenes)))
+    return max(1, min(fork_cpus(), pixels // MIN_SHARE, len(scenes)))
 
 
 def _send_counts(model, scenes, num_classes: int, pipe) -> None:

@@ -9,6 +9,15 @@ and adds the weighted cross entropy on cross-domain mixed samples.
 All randomness is drawn from named substreams of the config seed, so a full
 run is reproducible bit for bit, including the CSV logs.
 
+A step's perturbed target image and its features depend on the stage's pick
+and perturb streams only, never on the model.  In a stage of ``MIN_STEPS`` or
+more, where ``metrics.fork_cpus`` allows more than one CPU and a process can be
+pinned, a producer child pinned away from the loop's CPU builds them from its
+own copies of the streams and pipes them to the loop.  One stream generator
+serves it and the serial case, so the bytes are the serial ones; what a
+producer that stops early leaves is replayed serially, and the producer is
+reaped on every path.
+
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
 dtype.  The loss scalars are float64 (see ``segadapt.autodiff``), and
@@ -17,6 +26,12 @@ evaluation and pseudo labels run in float64 (``PixelModel.predict_probs``).
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import itertools
+import multiprocessing
+import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +41,7 @@ from segadapt.autodiff import flip_width
 from segadapt.config import TrainConfig, format_config
 from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
-from segadapt.metrics import evaluate_miou
+from segadapt.metrics import evaluate_miou, fork_cpus
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
 from segadapt.model import PixelModel
 from segadapt.netpbm import write_csv
@@ -141,15 +156,93 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
     return model
 
 
-def _target_branches(model, feats_t, image_t, rng_perturb, cfg):
-    """The weak-branch map, aligned with the perturbed branch, and the perturbed-branch map."""
+def _target_branches(model, feats_t, flipped, feats_star, cfg):
+    """The weak-branch map, aligned with the perturbed branch, and the perturbed-branch map.
+
+    ``(flipped, feats_star)`` is a step's item of ``_perturbed_branch``.
+    """
     p_t = model.prob_map(feats_t)
-    x_star, flipped = perturb(image_t, rng_perturb, noise=cfg.perturb_noise,
-                              brightness=cfg.perturb_brightness,
-                              contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
-    p_star = model.prob_map(_features(model, x_star))
+    p_star = model.prob_map(feats_star)
     p_hat = flip_width(p_t, cfg.width) if flipped else p_t
     return p_hat, p_star
+
+
+def _perturbed_branch(cfg, target, n_source, steps, rng_pick, rng_perturb, stage2, dtype):
+    """Each step's perturbed target image's flip bit and features in ``dtype``.
+
+    ``rng_pick`` is a copy of the loop's: it takes the loop's draws in order.
+    """
+    for _ in range(steps):
+        rng_pick.integers(n_source)
+        image = target[int(rng_pick.integers(len(target)))][0]
+        if stage2:
+            rng_pick.integers(n_source)
+            rng_pick.integers(len(target))
+        x_star, flipped = perturb(image, rng_perturb, noise=cfg.perturb_noise,
+                                  brightness=cfg.perturb_brightness,
+                                  contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
+        yield flipped, pixel_features(x_star).astype(dtype, copy=False)
+
+
+# Steps of a stage from which a producer pays.  On a 2-core x86-64 host one cost
+# 8-13 ms to start and join, and saved 0.50-0.52 ms per step on 64x64 scenes
+# and 0.14-0.20 ms on 32x32 ones (medians of 7 stage-one runs, from 60 MB and
+# 360 MB processes): it broke even at 16-32 steps on 64x64 and at 64-128 on 32x32.
+MIN_STEPS = 128
+
+
+def _produce(stream, reader, writer) -> None:
+    """A producer's target: send ``stream``'s planes, each followed by its flip bit.
+
+    Linux would wake it on the reading loop's CPU, so it pins itself to an
+    allowed CPU other than the one the loop last ran on (field 39 of
+    ``/proc/<pid>/stat``); pinned to that one, it kept the loop there.  A
+    1 MiB pipe holds seven 64x64 planes.  On any error it exits 1 without a
+    traceback.
+    """
+    import fcntl  # POSIX only, as is the producer
+
+    reader.close()  # once the loop closes its end, a write fails instead of waiting
+    try:
+        with open(f"/proc/{os.getppid()}/stat") as stat:
+            loop_cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0) - {loop_cpu})})
+        with contextlib.suppress(OSError):
+            fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+        for flipped, feats in stream:
+            writer.send_bytes(feats.tobytes() + bytes([flipped]))
+    except Exception:
+        sys.exit(1)
+
+
+def _produced(stream, steps, like):
+    """``stream``'s items, from a producer child where that pays (planes shaped as ``like``).
+
+    What a producer that stops early leaves is replayed from this process's ``stream``.
+    """
+    received = 0
+    if steps >= MIN_STEPS and fork_cpus() > 1 and hasattr(os, "sched_setaffinity"):
+        fork = multiprocessing.get_context("fork")
+        reader, writer = fork.Pipe(duplex=False)
+        producer = fork.Process(target=_produce, args=(stream, reader, writer))
+        producer.start()
+        writer.close()
+        try:
+            while received < steps:
+                data = reader.recv_bytes()
+                if len(data) != like.nbytes + 1:
+                    break
+                received += 1
+                yield bool(data[-1]), np.frombuffer(data, like.dtype, like.size).reshape(like.shape)
+        except (EOFError, OSError):  # no message, or a cut one
+            pass
+        finally:
+            reader.close()
+            if received < steps:  # it may be blocked on a full pipe
+                producer.kill()
+            producer.join()
+    if received < steps:
+        yield from itertools.islice(stream, received, None)
 
 
 def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_labels,
@@ -196,40 +289,42 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
         db = build_category_db(source, cfg.num_classes)
         pseudo = [pseudo_labels(img, pseudo_model) for img, _ in target]
 
-    for step in range(steps):
-        s_idx = int(rng_pick.integers(len(source)))
-        t_idx = int(rng_pick.integers(len(target)))
+    branch = _perturbed_branch(cfg, target, len(source), steps, copy.deepcopy(rng_pick),
+                               rng_perturb, pseudo_model is not None, model.dtype)
+    with contextlib.closing(_produced(branch, steps, feats_t[0])) as perturbed:
+        for step, (flipped, feats_star) in enumerate(perturbed):
+            s_idx = int(rng_pick.integers(len(source)))
+            t_idx = int(rng_pick.integers(len(target)))
 
-        p_s = model.prob_map(feats_s[s_idx])
-        y_s = labels_s[s_idx]
-        p_hat, p_star = _target_branches(model, feats_t[t_idx], target[t_idx][0],
-                                         rng_perturb, cfg)
+            p_s = model.prob_map(feats_s[s_idx])
+            y_s = labels_s[s_idx]
+            p_hat, p_star = _target_branches(model, feats_t[t_idx], flipped, feats_star, cfg)
 
-        confidence, arg_labels = confidence_and_argmax(p_hat.data)
-        update(state, confidence, arg_labels)
-        mask = adaptive_mask(confidence, arg_labels, state.alpha)
+            confidence, arg_labels = confidence_and_argmax(p_hat.data)
+            update(state, confidence, arg_labels)
+            mask = adaptive_mask(confidence, arg_labels, state.alpha)
 
-        if pseudo_model is None:
-            parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
-        else:
-            d_idx = int(rng_pick.integers(len(source)))
-            m_idx = int(rng_pick.integers(len(target)))
-            mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
-                               pseudo[m_idx], rng_paste, rng_mix)
-            p_m = model.prob_map(_features(model, mixed.image))
-            parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
-                                mixed.labels.ravel(), mixed.weights.ravel(), cfg)
+            if pseudo_model is None:
+                parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
+            else:
+                d_idx = int(rng_pick.integers(len(source)))
+                m_idx = int(rng_pick.integers(len(target)))
+                mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
+                                   pseudo[m_idx], rng_paste, rng_mix)
+                p_m = model.prob_map(_features(model, mixed.image))
+                parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
+                                    mixed.labels.ravel(), mixed.weights.ravel(), cfg)
 
-        total = _check_finite(parts, step, stage)
-        _descend(model, parts.total, lr, step, stage)
+            total = _check_finite(parts, step, stage)
+            _descend(model, parts.total, lr, step, stage)
 
-        l_m = parts.l_m.item() if parts.l_m is not None else 0.0
-        log.metrics.append((step, parts.l_s.item(), parts.l_u.item(), l_m, total))
-        for c in range(cfg.num_classes):
-            log.thresholds.append((step, c, state.alpha[c]))
-        if cfg.eval_every > 0 and (step + 1) % cfg.eval_every == 0:
-            _, miou = evaluate_miou(model, target, cfg.num_classes)
-            log.evals.append((step, miou))
+            l_m = parts.l_m.item() if parts.l_m is not None else 0.0
+            log.metrics.append((step, parts.l_s.item(), parts.l_u.item(), l_m, total))
+            for c in range(cfg.num_classes):
+                log.thresholds.append((step, c, state.alpha[c]))
+            if cfg.eval_every > 0 and (step + 1) % cfg.eval_every == 0:
+                _, miou = evaluate_miou(model, target, cfg.num_classes)
+                log.evals.append((step, miou))
 
     return model, log
 

@@ -1,8 +1,12 @@
 import csv
 import dataclasses
+import itertools
 import math
+import multiprocessing
+import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from segadapt.losses import (
     adjusted_kl_loss,
     shannon_entropy_loss,
     stage1_loss,
+    stage2_loss,
     supervised_ce_loss,
 )
 from segadapt.metrics import evaluate_miou
@@ -612,3 +617,175 @@ def test_write_iou_csv_writes_nan_for_a_class_without_pixels(tmp_path):
     path = tmp_path / "ious.csv"
     write_iou_csv(path, np.array([0.5, np.nan, 0.25]), 0.375)
     assert path.read_text() == "class_id,iou\n0,0.5\n1,nan\n2,0.25\nmean,0.375\n"
+
+
+# ------------------------------------------------ the perturbed branch's producer
+
+_BaseProcess = multiprocessing.process.BaseProcess
+
+
+@pytest.fixture
+def producer(monkeypatch):
+    """Allow two CPUs and a producer for a stage of any length; returns the processes started."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(train_module, "MIN_STEPS", 1)
+    started, start = [], _BaseProcess.start
+
+    def counted_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(_BaseProcess, "start", counted_start)
+    return started
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _logs(res):
+    return [(log.metrics, log.thresholds) for log in (res["stage1_log"], res["stage2_log"])]
+
+
+def _param_bytes(res):
+    return [p.data.tobytes() for name in ("stage1_model", "stage2_model")
+            for p in res[name].params]
+
+
+def test_the_producer_gives_the_serial_logs_parameters_and_csvs_bit_for_bit(
+        producer, monkeypatch, tmp_path):
+    cfg = TrainConfig(**{**SMALL, "pretrain_steps": 60, "stage1_steps": 200,
+                         "stage2_steps": 200})
+    produced = run_pipeline(cfg, tmp_path / "produced")
+    assert len(producer) == 2  # one per stage
+    _assert_no_child_left()
+    monkeypatch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+    serial = run_pipeline(cfg, tmp_path / "serial")
+    assert len(producer) == 2
+    assert _logs(produced) == _logs(serial)
+    assert _param_bytes(produced) == _param_bytes(serial)
+    csvs = {side: {p.name: p.read_bytes() for p in (tmp_path / side).glob("*.csv")}
+            for side in ("produced", "serial")}
+    assert len(csvs["serial"]) == 7 and csvs["produced"] == csvs["serial"]
+
+
+# SMALL-sized scenes, six per domain, and a 40-step stage one
+_FAULT_RUN = {**SMALL, "source_scenes": 6, "target_scenes": 6, "stage1_steps": 40}
+
+
+@pytest.fixture(scope="module")
+def serial_stage1():
+    """The inputs of a ``_FAULT_RUN`` stage one and its serial log metrics."""
+    cfg = TrainConfig(**_FAULT_RUN)
+    source, target, _ = build_datasets(cfg)
+    base = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6),
+                      dtype=np.float32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+        _, log = train_stage1(cfg, datasets=(source, target), init_model=base)
+    return cfg, (source, target), base, log.metrics
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_no_producer_outlives_a_divergence_mid_stage(producer, monkeypatch, stage):
+    # by step 30 the producer has filled the 1 MiB pipe with 36 KiB planes and waits on it
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 6, "target_scenes": 6,
+                         f"{stage}_steps": 200})
+    source, target, _ = build_datasets(cfg)
+    base = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6),
+                      dtype=np.float32)
+    loss = {"stage1": stage1_loss, "stage2": stage2_loss}[stage]
+    monkeypatch.setattr(train_module, f"{stage}_loss", _poison_gradient(loss, bad_call=31))
+    with pytest.raises(TrainingDiverged) as diverged:
+        if stage == "stage1":
+            train_stage1(cfg, datasets=(source, target), init_model=base)
+        else:
+            train_stage2(cfg, base, datasets=(source, target), source_model=base)
+    # the held traceback keeps the loop's frame alive: its reaping may not wait for that
+    _assert_no_child_left()
+    assert str(diverged.value) == f"non-finite {stage} gradient of w1 at step 30"
+    assert len(producer) == 1
+
+
+def _stopping_producer(planes, then=None):
+    """A producer that sends ``planes`` planes, then the bytes ``then`` if given, and exits 0."""
+    produce = train_module._produce
+
+    def stopping(stream, reader, writer):
+        produce(itertools.islice(stream, planes), reader, writer)
+        if then is not None:
+            writer.send_bytes(then)
+
+    return stopping
+
+
+def _failing_pin(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("fault", ["stops_at_once", "stops_after_5", "cut_plane", "pin_fails"])
+def test_a_producer_that_stops_early_still_gives_the_serial_log(producer, monkeypatch, capfd,
+                                                               serial_stage1, fault):
+    cfg, datasets, base, want = serial_stage1
+    if fault == "pin_fails":
+        monkeypatch.setattr(os, "sched_setaffinity", _failing_pin)
+    else:
+        planes, then = {"stops_at_once": (0, None), "stops_after_5": (5, None),
+                        "cut_plane": (5, b"cut")}[fault]
+        monkeypatch.setattr(train_module, "_produce", _stopping_producer(planes, then))
+    _, log = train_stage1(cfg, datasets=datasets, init_model=base)
+    assert len(producer) == 1
+    assert log.metrics == want
+    assert capfd.readouterr().err == ""
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one_cpu", "thread", "short_stage", "no_setaffinity"])
+def test_the_serial_cases_start_no_producer(producer, monkeypatch, serial_stage1, case):
+    cfg, datasets, base, want = serial_stage1
+    monkeypatch.setattr(_BaseProcess, "start", lambda self: pytest.fail("a producer started"))
+    if case == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif case == "short_stage":
+        monkeypatch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+    elif case == "no_setaffinity":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if case == "thread":
+        waiter.start()
+    try:
+        _, log = train_stage1(cfg, datasets=datasets, init_model=base)
+    finally:
+        release.set()
+        if case == "thread":
+            waiter.join(timeout=10.0)
+    assert not waiter.is_alive()
+    assert log.metrics == want
+
+
+def _stage1_in_a_daemon(cfg, datasets, base, pipe):
+    _BaseProcess.start = lambda self: pytest.fail("a producer started")
+    _, log = train_stage1(cfg, datasets=datasets, init_model=base)
+    pipe.send(log.metrics)
+
+
+def test_a_daemonic_process_starts_no_producer(producer, serial_stage1):
+    # multiprocessing lets no daemonic process start children of its own
+    cfg, datasets, base, want = serial_stage1
+    fork = multiprocessing.get_context("fork")
+    pipe, child_end = fork.Pipe(duplex=False)
+    daemon = fork.Process(target=_stage1_in_a_daemon, args=(cfg, datasets, base, child_end),
+                          daemon=True)
+    daemon.start()
+    child_end.close()
+    try:
+        got = pipe.recv()
+    finally:
+        pipe.close()
+        daemon.join(timeout=60.0)
+    assert daemon.exitcode == 0 and len(producer) == 1  # the daemon itself
+    assert got == want
+    _assert_no_child_left()
