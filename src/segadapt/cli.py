@@ -23,7 +23,7 @@ from segadapt.gradcurves import (GRID_POINTS, KINDS, REFERENCE_FOCAL_MIN, curve,
                                  find_global_min)
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, pseudo_labels
-from segadapt.model import load_model, save_model
+from segadapt.model import PixelModel, load_model, save_model
 from segadapt.netpbm import write_pgm, write_ppm
 from segadapt.threshold import ThresholdState
 from segadapt.train import build_datasets, mixed_pair, run_pipeline, write_iou_csv
@@ -76,9 +76,18 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _load_model_for(cfg: TrainConfig, path) -> PixelModel:
+    """The saved model at ``path``, checked against the class count of ``cfg``."""
+    model = load_model(path)
+    if model.num_classes != cfg.num_classes:
+        raise ValueError(f"num_classes differs: the model at {path} has {model.num_classes} "
+                         f"classes, the config has num_classes = {cfg.num_classes}")
+    return model
+
+
 def _cmd_eval(args) -> int:
     cfg = _config_from(args)
-    model = load_model(args.model)
+    model = _load_model_for(cfg, args.model)
     source, target, _ = build_datasets(cfg)
     dataset = target if args.domain == "target" else source
     iou, miou = evaluate_miou(model, dataset, cfg.num_classes)
@@ -93,6 +102,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_mix_preview(args) -> int:
     cfg = _config_from(args)
+    model = _load_model_for(cfg, args.model) if args.model else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target, _ = build_datasets(cfg)
@@ -101,10 +111,8 @@ def _cmd_mix_preview(args) -> int:
     alpha = ThresholdState.initial(cfg.num_classes, t0=cfg.threshold_t0).alpha
     source_pair = source[int(rng.integers(len(source)))]
     t_img, t_lab = target[int(rng.integers(len(target)))]
-    if args.model:
-        labels_t = pseudo_labels(t_img, load_model(args.model))
-    else:
-        labels_t = t_lab  # preview without a trained model: use generated labels
+    # without a trained model, preview with the generated labels
+    labels_t = t_lab if model is None else pseudo_labels(t_img, model)
     result = mixed_pair(cfg, db, source_pair, alpha, t_img, labels_t, rng, rng)
     write_ppm(out / "mix_image.ppm", result.image)
     write_pgm(out / "mix_labels.pgm", result.labels)

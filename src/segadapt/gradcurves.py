@@ -18,6 +18,7 @@ gradient from the curve whose ``p_hat`` equals that pixel's ``p``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ def _points(kind: str, leaf: Tensor, p_hat: float, gamma: float):
 def curve(kind: str, p_hat: float = 0.6, gamma: float = 2.0,
           grid: int = GRID_POINTS, lo: float = GRID_LO, hi: float = GRID_HI) -> Curve:
     """Sample one loss and its gradient over a grid of learnable probabilities: one backward."""
+    if not isinstance(grid, numbers.Integral) or isinstance(grid, bool):
+        raise ValueError(f"grid must be an int, got {grid}")
     if grid < 3:
         raise ValueError("grid needs at least 3 points")
     if not 0.0 < p_hat < 1.0:
@@ -135,10 +138,22 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
 
 
 def emit_csv(curves, path) -> None:
-    """Write curves as ``loss_kind,p,loss,grad`` rows, 17 significant digits."""
-    kinds, values = [], []
+    """Write curves as ``loss_kind,p,loss,grad`` rows, 17 significant digits.
+
+    A grid shared by several curves is formatted once, keyed by its bytes:
+    float equality would take ``-0.0`` for ``0.0``.
+    """
+    curves = list(curves)
+    texts: dict[bytes, list[str]] = {}
+    kinds, grids = [], []
     for c in curves:
+        key = c.p.tobytes()
+        if key not in texts:
+            texts[key] = list(map("{:.17g}".format, c.p.tolist()))
         kinds += [c.kind] * c.p.size
-        values.append((c.p, c.loss, c.grad))
-    write_csv(path, "loss_kind,p,loss,grad",
-              [kinds, *np.concatenate(values, axis=1)] if values else [])
+        grids += texts[key]
+    columns = [kinds, grids]
+    if curves:
+        columns += [np.concatenate([c.loss for c in curves], dtype=np.float64),
+                    np.concatenate([c.grad for c in curves], dtype=np.float64)]
+    write_csv(path, "loss_kind,p,loss,grad", columns)

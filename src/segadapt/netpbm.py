@@ -17,34 +17,31 @@ def write_csv(path, header: str, columns) -> None:
     A float (numpy float64 too) prints with 17 significant digits (``nan``
     stays ``nan``); any other value, a numpy float32 included, prints as
     ``str(value)``.  The header is written verbatim.  Each block of rows is
-    one ``%`` operation over a row template: a float64 array column is a
-    ``%.17g`` field, filled from the block's float64 columns stacked row by
-    row; every other cell is rendered by the rule above, ``%`` doubled, and
-    placed in the template as text.
+    one ``%`` operation over one row template repeated per row: a float64
+    array column is a ``%.17g`` field, every other column a ``%s`` field
+    whose cells are rendered by the rule above, so text is never read as
+    part of the template.
     """
     columns = list(columns)
+    for i, col in enumerate(columns):
+        if isinstance(col, np.ndarray) and col.ndim != 1:
+            raise ValueError(f"column {i} must be 1-D, got shape {col.shape}")
     lengths = [len(col) for col in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"columns differ in length: {lengths}")
+    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
+    template = ",".join("%.17g" if is_float else "%s" for is_float in floats) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for lo in range(0, lengths[0] if lengths else 0, _BLOCK_ROWS):
             block = [col[lo:lo + _BLOCK_ROWS] for col in columns]
-            floats = [col for col in block if _is_float64(col)]
-            cells = [["%.17g"] * len(col) if _is_float64(col) else _text_cells(col)
-                     for col in block]
-            template = "".join([",".join(row) + "\n" for row in zip(*cells)])
-            values = np.column_stack(floats).ravel().tolist() if floats else []
-            fh.write(template % tuple(values))
-
-
-def _is_float64(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype == np.float64
-
-
-def _text_cells(column) -> list[str]:
-    return [(f"{v:.17g}" if isinstance(v, float) else str(v)).replace("%", "%%")
-            for v in column]
+            rows = len(block[0])
+            values = [None] * (len(block) * rows)
+            for j, (col, is_float) in enumerate(zip(block, floats)):
+                # row-major: cell j of each row sits at j::len(block)
+                values[j::len(block)] = col.tolist() if is_float else [
+                    f"{v:.17g}" if isinstance(v, float) else v for v in col]
+            fh.write(template * rows % tuple(values))
 
 
 def _scaled_u8(values: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 The PPM/PGM readers read back what ``write_ppm`` and ``write_pgm`` wrote.
 ``csv_by_rows`` is the CSV writer's formatting rule applied one value at a
 time, row by row: the oracle for ``write_csv``, which formats a block of rows
-with one ``%`` operation over a row template.
+with one ``%`` operation over a row template of ``%.17g`` and ``%s`` fields,
+and for ``emit_csv``, which also formats a shared grid only once.
 """
 
 import numpy as np

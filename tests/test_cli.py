@@ -1,10 +1,13 @@
 import csv
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from segadapt.cli import main
 from segadapt.gradcurves import curve, find_global_min
+from segadapt.model import PixelModel, save_model
 from segadapt.netpbm import write_csv, write_pgm, write_ppm
 
 from _netpbm import csv_by_rows, read_pgm, read_ppm
@@ -87,6 +90,69 @@ def test_write_csv_formats_each_value_by_its_type(tmp_path):
             [f"{i}%" for i in range(n)]]
     write_csv(path, header + ",r%", long)
     assert path.read_bytes() == csv_by_rows(header + ",r%", zip(*long))
+
+
+def test_write_csv_rejects_an_array_column_that_is_not_1d(tmp_path):
+    path = tmp_path / "bad.csv"
+    for i, bad in [(1, np.zeros((2, 2))), (0, np.zeros((2, 1), dtype=np.float32)),
+                   (1, np.zeros((1, 2, 2), dtype=np.int64))]:
+        columns = [[1, 2], [1.0, 2.0]]
+        columns[i] = bad
+        shape = re.escape(str(bad.shape))
+        with pytest.raises(ValueError, match=f"^column {i} must be 1-D, got shape {shape}$"):
+            write_csv(path, "a,b", columns)
+    with pytest.raises(ValueError, match=r"^column 0 must be 1-D, got shape \(\)$"):
+        write_csv(path, "a", [np.ones(())])
+
+
+# the float64 values where formatting is most likely to go wrong
+EDGE_FLOATS = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+               2.2250738585072009e-308, 1e300, -1e300, 0.1, 1 / 3]
+PERCENT_TEXT = ["%", "%s", "%(x)s", "%.17g", "%%", "50%", "a,b"]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+CELLS = st.one_of(
+    st.integers(), st.booleans(), ANY_FLOAT | st.sampled_from(EDGE_FLOATS),
+    ANY_FLOAT.map(np.float64), st.floats(width=32).map(np.float32),
+    st.sampled_from(PERCENT_TEXT), st.text(alphabet="%s(x).17g ,ab", max_size=8))
+COLUMNS = st.one_of(
+    st.tuples(st.just("float64"), st.lists(ANY_FLOAT | st.sampled_from(EDGE_FLOATS),
+                                           min_size=1, max_size=12)),
+    st.tuples(st.just("float32"), st.lists(st.floats(width=32), min_size=1, max_size=12)),
+    st.tuples(st.just("list"), st.lists(CELLS, min_size=1, max_size=12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([0, 1, 1023, 1024, 1025, 2049]),
+       pools=st.lists(COLUMNS, max_size=4), seed=st.integers(0, 2**32 - 1),
+       header=st.sampled_from(["h", "a,%s,%(x)s", "%.17g,b%"]))
+def test_write_csv_writes_the_bytes_of_the_row_by_row_rule(tmp_path_factory, n, pools, seed,
+                                                           header):
+    # each column repeats a drawn pool of values in a random order, so long columns are cheap
+    rng = np.random.default_rng(seed)
+    columns = []
+    for kind, pool in pools:
+        picks = rng.integers(len(pool), size=n)
+        if kind == "list":
+            columns.append([pool[i] for i in picks])
+        else:
+            columns.append(np.array(pool, dtype=kind)[picks])
+    path = tmp_path_factory.mktemp("csv") / "drawn.csv"
+    write_csv(path, header, columns)
+    rows = zip(*columns) if columns else []
+    assert path.read_bytes() == csv_by_rows(header, rows)
+
+
+@pytest.mark.parametrize("command", ["eval", "mix-preview"])
+def test_a_saved_model_with_another_class_count_fails_naming_num_classes(tmp_path, command):
+    flags = {"eval": [], "mix-preview": ["--out", str(tmp_path / "preview")]}[command]
+    for saved, config in [(3, []), (5, ["--num-classes", "3", "--rare-class", "2"])]:
+        path = tmp_path / f"model_{saved}.npz"
+        save_model(path, PixelModel(saved, hidden=4, rng=np.random.default_rng(0)))
+        configured = 5 if not config else 3
+        with pytest.raises(ValueError, match=f"num_classes differs: .* has {saved} classes, "
+                                             f"the config has num_classes = {configured}$"):
+            main([command, "--model", str(path), *flags, *config, *TINY])
+    assert not (tmp_path / "preview").exists()
 
 
 def test_gen_data_writes_scene_files(tmp_path):

@@ -157,16 +157,52 @@ def test_emit_csv_round_trip(tmp_path, curves):
             assert np.array_equal(column, getattr(curves[kind], name)), (kind, name)
 
 
+def curve_rows(curves):
+    """``loss_kind,p,loss,grad`` rows of ``curves``, one value at a time."""
+    return [(c.kind, *point) for c in curves
+            for point in zip(c.p.tolist(), c.loss.tolist(), c.grad.tolist())]
+
+
 def test_gradcurves_cli_writes_the_bytes_of_the_row_by_row_rule(tmp_path, capsys):
+    # every setting of the benchmark's landscape, at its grid of 1999 points
     path = tmp_path / "curves.csv"
-    assert main(["gradcurves", "--kind", "all", "--p-hat", "0.6", "--gamma", "2",
-                 "--grid", "1999", "--out", str(path)]) == 0
+    for p_hat, gamma in LANDSCAPE:
+        assert main(["gradcurves", "--kind", "all", "--p-hat", str(p_hat), "--gamma", str(gamma),
+                     "--grid", "1999", "--out", str(path)]) == 0
+        rows = curve_rows([curve(kind, p_hat=p_hat, gamma=gamma) for kind in KINDS])
+        assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", rows), (p_hat, gamma)
     capsys.readouterr()
-    rows = []
-    for kind in KINDS:
-        c = curve(kind, p_hat=0.6, gamma=2.0)
-        rows += [(kind, *point) for point in zip(c.p.tolist(), c.loss.tolist(), c.grad.tolist())]
-    assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", rows)
+
+
+def test_emit_csv_formats_curves_on_different_grids_by_the_row_by_row_rule(tmp_path):
+    # a grid shared by several curves is formatted once; curves on other grids, of other
+    # sizes or of the same size over other bounds, keep their own text
+    small, large = curve("shannon", grid=11), curve("focal", grid=21)
+    inner = curve("maxsquare", grid=11, lo=0.25, hi=0.75)
+    path = tmp_path / "curves.csv"
+    for curves in ([small, large], [small, inner, small], [large, small, large, inner],
+                   [curve(kind, grid=11) for kind in KINDS], [inner], []):
+        emit_csv(curves, path)
+        assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", curve_rows(curves))
+    # grids equal as floats but not as bytes: -0.0 prints as -0, 0.0 as 0
+    signed = [Curve("shannon", 0.6, 2.0, np.array([sign * 0.0, 0.5]), np.zeros(2), np.ones(2))
+              for sign in (-1.0, 1.0, -1.0)]
+    emit_csv(signed, path)
+    assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", curve_rows(signed))
+    assert path.read_text().splitlines()[1::2] == ["shannon,-0,0,1", "shannon,0,0,1",
+                                                   "shannon,-0,0,1"]
+
+
+@pytest.mark.parametrize("grid", [5.0, 11.0, True, False, "11", None])
+def test_curve_rejects_a_grid_that_is_not_an_int(grid):
+    with pytest.raises(ValueError, match=f"^grid must be an int, got {grid}$"):
+        curve("shannon", grid=grid)
+
+
+@pytest.mark.parametrize("grid", [11, np.int64(11), np.int32(11), np.uint16(11)])
+def test_curve_takes_any_integer_grid(grid):
+    c = curve("focal", grid=grid)
+    assert c.p.size == 11 and np.array_equal(c.p, curve("focal", grid=11).p)
 
 
 def test_csv_gradients_match_column_finite_differences():
