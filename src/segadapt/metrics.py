@@ -1,19 +1,26 @@
 """Segmentation evaluation: per-class intersection-over-union and its mean.
 
+``forked(stream, count, nbytes)`` is the one fork path of the package.  Where
+``fork_cpus`` allows more than one CPU, it starts a child from
+``multiprocessing``'s fork context that pins itself to an allowed CPU other
+than the one the caller last ran on and sends each byte string of ``stream``
+through a one-way 1 MiB pipe; the caller reads them in place of building them.
+What the child leaves unsent (no message, a short or cut one, a failed pin, an
+error, which it exits 1 on without a traceback) is replayed from the caller's
+own unstarted ``stream``, so the items and their errors are the serial ones.
+On exit the child is killed if it still runs, and reaped on every path.
+
 ``evaluate_miou`` splits a large dataset (``MIN_SHARE`` label pixels per
-worker, more than one allowed CPU) into contiguous scene slices.  The caller
-counts the first; a child from ``multiprocessing``'s fork context counts each
-other one and sends its int64 matrix through a pipe.  Counts are integers, so
-the sum is the serial matrix and the IoU bytes are the serial ones.  It runs
-serially with one worker, where the platform cannot fork, inside a daemonic
-process and while another thread runs.  The caller recounts the slice of a
-child that fails or sends short data, so errors read as serially, and every
-child is reaped on every path.  A traced benchmark run sees the caller's spans
-only.
+worker) into contiguous scene slices, counts the first itself and reads each
+other one's int64 matrix from a ``forked`` one-item stream.  Counts are
+integers, so the sum is the serial matrix and the IoU bytes are the serial
+ones.  A traced benchmark run sees the caller's spans only.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import multiprocessing
 import os
 import sys
@@ -23,7 +30,7 @@ import numpy as np
 
 from segadapt.losses import IGNORE_LABEL
 
-__all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou", "fork_cpus"]
+__all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou", "fork_cpus", "forked"]
 
 # Label pixels per worker at which a fork-join breaks even.  On a 2-core x86-64
 # host a fork-join cost 5 ms from a 117 MB process (the pipeline) and 14 ms
@@ -78,17 +85,78 @@ def _confusion(model, scenes, num_classes: int) -> np.ndarray:
 
 
 def fork_cpus() -> int:
-    """The allowed CPUs a fork-join may use; 1 where this process may not fork.
+    """The allowed CPUs a fork may use; 1 where this process may not fork and pin a child.
 
-    It may not without ``os.fork``, while another thread runs (a forked child
-    gets a copy of every lock that thread holds), or in a daemonic process
+    It may not without ``os.fork``, ``os.sched_getaffinity`` or
+    ``os.sched_setaffinity``, while another thread runs (a forked child gets a
+    copy of every lock that thread holds), or in a daemonic process
     (multiprocessing lets a daemon start no children).
     """
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or multiprocessing.current_process().daemon):
+    if (not all(hasattr(os, name) for name in ("fork", "sched_getaffinity", "sched_setaffinity"))
+            or threading.active_count() > 1 or multiprocessing.current_process().daemon):
         return 1
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    return len(os.sched_getaffinity(0))
+
+
+def _send(stream, reader, writer) -> None:
+    """A child's target: send each byte string of ``stream``, or exit 1 without a traceback.
+
+    Linux would wake it on the reading caller's CPU, so it pins itself away from
+    the CPU the caller last ran on (field 39 of ``/proc/<pid>/stat``).  A 1 MiB
+    pipe holds seven 64x64 feature planes.
+    """
+    import fcntl  # POSIX only, as is the fork
+
+    reader.close()  # once the caller closes its end, a write fails instead of waiting
+    try:
+        with open(f"/proc/{os.getppid()}/stat") as stat:
+            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+        os.sched_setaffinity(0, os.sched_getaffinity(0) - {cpu})
+        with contextlib.suppress(OSError):
+            fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+        for data in stream:
+            writer.send_bytes(data)
+    except Exception:
+        sys.exit(1)
+
+
+@contextlib.contextmanager
+def forked(stream, count: int, nbytes: int):
+    """Yield the ``count`` byte strings of ``stream``, each ``nbytes`` long, built by a child.
+
+    Serial (``stream`` itself) where ``fork_cpus`` allows one CPU; see the
+    module docstring for the child, the replay and the reaping.
+    """
+    if fork_cpus() < 2:
+        yield stream
+        return
+    fork = multiprocessing.get_context("fork")
+    reader, writer = fork.Pipe(duplex=False)
+    child = fork.Process(target=_send, args=(stream, reader, writer))
+    child.start()
+    writer.close()
+
+    def items():
+        received = 0
+        try:
+            while received < count:
+                data = reader.recv_bytes()
+                if len(data) != nbytes:
+                    break
+                received += 1
+                yield data
+        except (EOFError, OSError):  # no message, or a cut one
+            pass
+        if received < count:  # skipping the received items rebuilds them
+            yield from itertools.islice(stream, received, None)
+
+    try:
+        yield items()
+    finally:
+        reader.close()
+        if child.exitcode is None:  # polls, so an exited child is reaped here
+            child.kill()
+        child.join()
 
 
 def _workers(scenes) -> int:
@@ -97,12 +165,9 @@ def _workers(scenes) -> int:
     return max(1, min(fork_cpus(), pixels // MIN_SHARE, len(scenes)))
 
 
-def _send_counts(model, scenes, num_classes: int, pipe) -> None:
-    """A child's target: send the int64 counts of ``scenes``, or exit 1 without a traceback."""
-    try:
-        pipe.send_bytes(_confusion(model, scenes, num_classes))
-    except Exception:
-        sys.exit(1)
+def _counts(model, scenes, num_classes: int):
+    """A one-item stream: the int64 confusion of ``scenes`` as bytes."""
+    yield _confusion(model, scenes, num_classes).tobytes()
 
 
 def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
@@ -117,30 +182,11 @@ def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
     workers = _workers(scenes)
     cuts = [len(scenes) * k // workers for k in range(workers + 1)]
     own, *parts = [scenes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    children = []  # (process, read end, slice) of every started child
-    try:
-        for part in parts:
-            fork = multiprocessing.get_context("fork")
-            pipe, child_end = fork.Pipe(duplex=False)
-            child = fork.Process(target=_send_counts, args=(model, part, num_classes, child_end))
-            child.start()
-            children.append((child, pipe, part))
-            child_end.close()
+    with contextlib.ExitStack() as children:
+        streams = [children.enter_context(forked(_counts(model, part, num_classes), 1,
+                                                 8 * num_classes * num_classes))
+                   for part in parts]
         total = _confusion(model, own, num_classes)
-        for child, pipe, part in children:
-            try:
-                data = pipe.recv_bytes()
-            except (EOFError, OSError):  # no message, or a cut one
-                data = b""
-            child.join()
-            if child.exitcode == 0 and len(data) == total.nbytes:
-                total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
-            else:
-                total += _confusion(model, part, num_classes)
-    finally:
-        for child, pipe, _ in children:
-            pipe.close()
-            if child.exitcode is None:  # polls, so an exited child is reaped here
-                child.kill()
-                child.join()
+        for data in itertools.chain.from_iterable(streams):
+            total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
     return iou_from_confusion(total)

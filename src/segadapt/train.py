@@ -11,12 +11,9 @@ run is reproducible bit for bit, including the CSV logs.
 
 A step's perturbed target image and its features depend on the stage's pick
 and perturb streams only, never on the model.  In a stage of ``MIN_STEPS`` or
-more, where ``metrics.fork_cpus`` allows more than one CPU and a process can be
-pinned, a producer child pinned away from the loop's CPU builds them from its
-own copies of the streams and pipes them to the loop.  One stream generator
-serves it and the serial case, so the bytes are the serial ones; what a
-producer that stops early leaves is replayed serially, and the producer is
-reaped on every path.
+more, a child of ``metrics.forked`` builds them from its own copies of the
+streams and pipes them to the loop; the serial case reads the same byte
+stream, so the bytes are the serial ones.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
@@ -27,11 +24,6 @@ evaluation and pseudo labels run in float64 (``PixelModel.predict_probs``).
 from __future__ import annotations
 
 import contextlib
-import copy
-import itertools
-import multiprocessing
-import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +33,7 @@ from segadapt.autodiff import flip_width
 from segadapt.config import TrainConfig, format_config
 from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
-from segadapt.metrics import evaluate_miou, fork_cpus
+from segadapt.metrics import evaluate_miou, forked
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
 from segadapt.model import PixelModel
 from segadapt.netpbm import write_csv
@@ -159,7 +151,7 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
 def _target_branches(model, feats_t, flipped, feats_star, cfg):
     """The weak-branch map, aligned with the perturbed branch, and the perturbed-branch map.
 
-    ``(flipped, feats_star)`` is a step's item of ``_perturbed_branch``.
+    ``flipped`` and ``feats_star`` are decoded from a step's item of ``_perturbed_branch``.
     """
     p_t = model.prob_map(feats_t)
     p_star = model.prob_map(feats_star)
@@ -167,21 +159,22 @@ def _target_branches(model, feats_t, flipped, feats_star, cfg):
     return p_hat, p_star
 
 
-def _perturbed_branch(cfg, target, n_source, steps, rng_pick, rng_perturb, stage2, dtype):
-    """Each step's perturbed target image's flip bit and features in ``dtype``.
-
-    ``rng_pick`` is a copy of the loop's: it takes the loop's draws in order.
-    """
+def _picks(rng_pick, n_source, n_target, steps, stage2):
+    """Each step's source and target scene indices, then stage two's mixed pair's, in draw order."""
     for _ in range(steps):
-        rng_pick.integers(n_source)
-        image = target[int(rng_pick.integers(len(target)))][0]
+        pick = int(rng_pick.integers(n_source)), int(rng_pick.integers(n_target))
         if stage2:
-            rng_pick.integers(n_source)
-            rng_pick.integers(len(target))
-        x_star, flipped = perturb(image, rng_perturb, noise=cfg.perturb_noise,
+            pick += int(rng_pick.integers(n_source)), int(rng_pick.integers(n_target))
+        yield pick
+
+
+def _perturbed_branch(cfg, target, picks, rng_perturb, dtype):
+    """Each step's perturbed target image's features in ``dtype`` as bytes, then its flip bit."""
+    for _, t_idx, *_ in picks:
+        x_star, flipped = perturb(target[t_idx][0], rng_perturb, noise=cfg.perturb_noise,
                                   brightness=cfg.perturb_brightness,
                                   contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
-        yield flipped, pixel_features(x_star).astype(dtype, copy=False)
+        yield pixel_features(x_star).astype(dtype, copy=False).tobytes() + bytes([flipped])
 
 
 # Steps of a stage from which a producer pays.  On a 2-core x86-64 host one cost
@@ -189,60 +182,6 @@ def _perturbed_branch(cfg, target, n_source, steps, rng_pick, rng_perturb, stage
 # and 0.14-0.20 ms on 32x32 ones (medians of 7 stage-one runs, from 60 MB and
 # 360 MB processes): it broke even at 16-32 steps on 64x64 and at 64-128 on 32x32.
 MIN_STEPS = 128
-
-
-def _produce(stream, reader, writer) -> None:
-    """A producer's target: send ``stream``'s planes, each followed by its flip bit.
-
-    Linux would wake it on the reading loop's CPU, so it pins itself to an
-    allowed CPU other than the one the loop last ran on (field 39 of
-    ``/proc/<pid>/stat``); pinned to that one, it kept the loop there.  A
-    1 MiB pipe holds seven 64x64 planes.  On any error it exits 1 without a
-    traceback.
-    """
-    import fcntl  # POSIX only, as is the producer
-
-    reader.close()  # once the loop closes its end, a write fails instead of waiting
-    try:
-        with open(f"/proc/{os.getppid()}/stat") as stat:
-            loop_cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
-        os.sched_setaffinity(0, {max(os.sched_getaffinity(0) - {loop_cpu})})
-        with contextlib.suppress(OSError):
-            fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
-        for flipped, feats in stream:
-            writer.send_bytes(feats.tobytes() + bytes([flipped]))
-    except Exception:
-        sys.exit(1)
-
-
-def _produced(stream, steps, like):
-    """``stream``'s items, from a producer child where that pays (planes shaped as ``like``).
-
-    What a producer that stops early leaves is replayed from this process's ``stream``.
-    """
-    received = 0
-    if steps >= MIN_STEPS and fork_cpus() > 1 and hasattr(os, "sched_setaffinity"):
-        fork = multiprocessing.get_context("fork")
-        reader, writer = fork.Pipe(duplex=False)
-        producer = fork.Process(target=_produce, args=(stream, reader, writer))
-        producer.start()
-        writer.close()
-        try:
-            while received < steps:
-                data = reader.recv_bytes()
-                if len(data) != like.nbytes + 1:
-                    break
-                received += 1
-                yield bool(data[-1]), np.frombuffer(data, like.dtype, like.size).reshape(like.shape)
-        except (EOFError, OSError):  # no message, or a cut one
-            pass
-        finally:
-            reader.close()
-            if received < steps:  # it may be blocked on a full pipe
-                producer.kill()
-            producer.join()
-    if received < steps:
-        yield from itertools.islice(stream, received, None)
 
 
 def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_labels,
@@ -256,8 +195,7 @@ def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_la
 def train_stage1(cfg: TrainConfig, datasets, init_model: PixelModel):
     """Stage-one adaptation from a copy of ``init_model``; returns the model and its log."""
     return _adaptation_loop(cfg, init_model.clone(), datasets, "stage1", cfg.stage1_steps,
-                            cfg.stage1_lr, _rng(cfg, _STREAM_STAGE1),
-                            _rng(cfg, _STREAM_STAGE1_PERTURB))
+                            cfg.stage1_lr, _STREAM_STAGE1, _STREAM_STAGE1_PERTURB)
 
 
 def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
@@ -268,13 +206,16 @@ def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
     frozen stage-one model labels every target scene once, before the loop.
     """
     return _adaptation_loop(cfg, source_model.clone(), datasets, "stage2", cfg.stage2_steps,
-                            cfg.stage2_lr, _rng(cfg, _STREAM_STAGE2),
-                            _rng(cfg, _STREAM_STAGE2_PERTURB), pseudo_model=stage1_model)
+                            cfg.stage2_lr, _STREAM_STAGE2, _STREAM_STAGE2_PERTURB,
+                            pseudo_model=stage1_model)
 
 
-def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_perturb,
+def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, perturb_stream,
                      pseudo_model=None):
-    """Stage one's step; a ``pseudo_model`` adds stage two's mixed-pair term."""
+    """Stage one's step; a ``pseudo_model`` adds stage two's mixed-pair term.
+
+    ``pick_stream`` and ``perturb_stream`` name the stage's rng substreams.
+    """
     source, target = datasets
     state = _threshold_state(cfg)
     log = TrainLog()
@@ -289,12 +230,17 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
         db = build_category_db(source, cfg.num_classes)
         pseudo = [pseudo_labels(img, pseudo_model) for img, _ in target]
 
-    branch = _perturbed_branch(cfg, target, len(source), steps, copy.deepcopy(rng_pick),
-                               rng_perturb, pseudo_model is not None, model.dtype)
-    with contextlib.closing(_produced(branch, steps, feats_t[0])) as perturbed:
-        for step, (flipped, feats_star) in enumerate(perturbed):
-            s_idx = int(rng_pick.integers(len(source)))
-            t_idx = int(rng_pick.integers(len(target)))
+    def picks():
+        return _picks(_rng(cfg, pick_stream), len(source), len(target), steps,
+                      pseudo_model is not None)
+
+    plane = feats_t[0]
+    branch = _perturbed_branch(cfg, target, picks(), _rng(cfg, perturb_stream), model.dtype)
+    with (forked(branch, steps, plane.nbytes + 1) if steps >= MIN_STEPS
+          else contextlib.nullcontext(branch)) as perturbed:
+        for step, (data, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
+            flipped = bool(data[-1])
+            feats_star = np.frombuffer(data, plane.dtype, plane.size).reshape(plane.shape)
 
             p_s = model.prob_map(feats_s[s_idx])
             y_s = labels_s[s_idx]
@@ -307,8 +253,7 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, rng_pick, rng_pertu
             if pseudo_model is None:
                 parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
             else:
-                d_idx = int(rng_pick.integers(len(source)))
-                m_idx = int(rng_pick.integers(len(target)))
+                d_idx, m_idx = mixed_idx
                 mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
                                    pseudo[m_idx], rng_paste, rng_mix)
                 p_m = model.prob_map(_features(model, mixed.image))

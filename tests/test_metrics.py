@@ -2,12 +2,19 @@ import multiprocessing
 import os
 import re
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from segadapt.losses import IGNORE_LABEL
-from segadapt.metrics import MIN_SHARE, confusion_matrix, evaluate_miou, iou_from_confusion
+from segadapt.metrics import (
+    MIN_SHARE,
+    confusion_matrix,
+    evaluate_miou,
+    forked,
+    iou_from_confusion,
+)
 
 
 class _ConstantModel:
@@ -208,16 +215,15 @@ def test_a_child_that_sends_no_counts_has_its_slice_counted_by_the_caller(two_cp
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("case", ["one_cpu", "one_cpu_counted", "thread", "under_two_shares"])
+@pytest.mark.parametrize("case", ["one_cpu", "no_setaffinity", "thread", "under_two_shares"])
 def test_the_serial_fallback_never_forks(monkeypatch, case):
     dataset = _shares(3, scenes=2 * MIN_SHARE // 1024 - 1 if case == "under_two_shares"
                       else 2 * MIN_SHARE // 1024 + 1)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("evaluate_miou forked"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if case == "one_cpu" else {0, 1},
                         raising=False)
-    if case == "one_cpu_counted":  # no affinity call: the CPU count decides
-        monkeypatch.delattr(os, "sched_getaffinity")
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    if case == "no_setaffinity":  # a child could not be pinned away from the caller
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     release = threading.Event()
     waiter = threading.Thread(target=release.wait)
     if case == "thread":
@@ -231,6 +237,75 @@ def test_the_serial_fallback_never_forks(monkeypatch, case):
     assert not waiter.is_alive()
     want_iou, want_miou = _serial_sum(dataset)
     assert iou.tobytes() == want_iou.tobytes() and miou == want_miou
+
+
+class _CountingModel(_EchoModel):
+    """Records the label maps it predicts in the process that built it."""
+
+    def __init__(self):
+        self.pid, self.predicted = os.getpid(), []
+
+    def predict_labels(self, image):
+        if os.getpid() == self.pid:
+            self.predicted.append(image)
+        return image
+
+
+def test_the_caller_counts_only_its_own_slice_when_the_child_sends(two_cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)  # a host of one CPU too
+    dataset = _shares(8)
+    model = _CountingModel()
+    iou, miou = evaluate_miou(model, dataset, 5)
+    assert len(two_cpus) == 1
+    own = len(dataset) // 2
+    assert len(model.predicted) == own
+    assert all(got is pred for got, (pred, _) in zip(model.predicted, dataset[:own]))
+    want_iou, want_miou = _serial_sum(dataset)
+    assert iou.tobytes() == want_iou.tobytes() and miou == want_miou
+    _assert_no_child_left()
+
+
+@pytest.fixture
+def four_cpus(two_cpus, monkeypatch):
+    """Allow four CPUs; returns the list of children forked by this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    return two_cpus
+
+
+def test_four_cpus_fork_three_children_and_give_the_serial_sum_bit_for_bit(four_cpus):
+    dataset = _shares(6, scenes=4 * MIN_SHARE // 1024 + 1)
+    iou, miou = evaluate_miou(_EchoModel(), dataset, 5)
+    assert len(four_cpus) == 3
+    want_iou, want_miou = _serial_sum(dataset)
+    assert iou.tobytes() == want_iou.tobytes() and miou == want_miou
+    _assert_no_child_left()
+
+
+def test_a_bad_label_in_the_callers_slice_reaps_all_three_children(four_cpus):
+    dataset = _shares(7, scenes=4 * MIN_SHARE // 1024 + 1)
+    dataset[3][1][2, 9] = 6
+    with pytest.raises(ValueError) as serial:
+        _serial_sum(dataset)
+    with pytest.raises(ValueError) as forked:
+        evaluate_miou(_EchoModel(), dataset, 5)
+    assert str(forked.value) == str(serial.value) == "labels outside [0, 5): truth [6]"
+    assert len(four_cpus) == 3
+    _assert_no_child_left()
+
+
+def _slow_stream():
+    """A one-item stream whose item takes 20 s to build."""
+    time.sleep(20.0)
+    yield bytes(8)
+
+
+def test_a_caller_that_leaves_early_kills_the_child_still_building(two_cpus):
+    start = time.monotonic()
+    with forked(_slow_stream(), 1, 8):
+        pass
+    assert time.monotonic() - start < 10.0
+    assert len(two_cpus) == 1
+    _assert_no_child_left()
 
 
 def _evaluate_in_a_daemon(dataset, forked, pipe):

@@ -24,6 +24,7 @@ from segadapt.losses import (
     stage2_loss,
     supervised_ce_loss,
 )
+import segadapt.metrics as metrics_module
 from segadapt.metrics import evaluate_miou
 from segadapt.model import PixelModel, load_model, save_model
 from segadapt.threshold import adaptive_mask, confidence_and_argmax
@@ -711,10 +712,10 @@ def test_no_producer_outlives_a_divergence_mid_stage(producer, monkeypatch, stag
 
 def _stopping_producer(planes, then=None):
     """A producer that sends ``planes`` planes, then the bytes ``then`` if given, and exits 0."""
-    produce = train_module._produce
+    send = metrics_module._send
 
     def stopping(stream, reader, writer):
-        produce(itertools.islice(stream, planes), reader, writer)
+        send(itertools.islice(stream, planes), reader, writer)
         if then is not None:
             writer.send_bytes(then)
 
@@ -734,11 +735,29 @@ def test_a_producer_that_stops_early_still_gives_the_serial_log(producer, monkey
     else:
         planes, then = {"stops_at_once": (0, None), "stops_after_5": (5, None),
                         "cut_plane": (5, b"cut")}[fault]
-        monkeypatch.setattr(train_module, "_produce", _stopping_producer(planes, then))
+        monkeypatch.setattr(metrics_module, "_send", _stopping_producer(planes, then))
     _, log = train_stage1(cfg, datasets=datasets, init_model=base)
     assert len(producer) == 1
     assert log.metrics == want
     assert capfd.readouterr().err == ""
+    _assert_no_child_left()
+
+
+def test_the_loop_perturbs_nothing_when_the_producer_sends_every_plane(
+        producer, monkeypatch, serial_stage1):
+    cfg, datasets, base, want = serial_stage1
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)  # a host of one CPU too
+    perturbed_here = []
+
+    def counted_perturb(*args, **kwargs):
+        perturbed_here.append(os.getpid())  # a child appends to its own copy
+        return perturb(*args, **kwargs)
+
+    monkeypatch.setattr(train_module, "perturb", counted_perturb)
+    _, log = train_stage1(cfg, datasets=datasets, init_model=base)
+    assert len(producer) == 1
+    assert perturbed_here == []
+    assert log.metrics == want
     _assert_no_child_left()
 
 
