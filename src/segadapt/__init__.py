@@ -3,7 +3,9 @@
 Self-contained numpy/scipy library: a minimal reverse-mode autodiff engine,
 the entropy/focal loss family with class-level adaptive thresholds,
 cross-domain image mixing, a synthetic two-domain segmentation pipeline,
-and a binary gradient-landscape analyzer.
+and a binary gradient-landscape analyzer. Importing it loads the standard
+library and numpy only; ``scipy.ndimage`` loads at the first ``pixel_features``
+call, so ``segadapt gradcurves``, which filters no image, never loads it.
 """
 
 from segadapt.autodiff import Tensor, ShapeMismatchError, concat, flip_width

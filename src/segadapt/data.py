@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 if TYPE_CHECKING:  # segadapt.config reads _BASE_COLORS from here
     from segadapt.config import TrainConfig
@@ -126,6 +125,8 @@ def pixel_features(image: np.ndarray) -> np.ndarray:
     in place into one (9, H, W) buffer, returned as is, C-contiguous (9, H*W):
     on these sizes a fresh array costs about as much as the arithmetic.
     """
+    from scipy.ndimage import uniform_filter  # on first use: 0.2-0.3 s and 26 MB to load
+
     image = np.asarray(image, dtype=np.float64)
     c = image.shape[0]
     feats = np.empty((3 * c,) + image.shape[1:])

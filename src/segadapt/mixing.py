@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from segadapt.losses import IGNORE_LABEL
 from segadapt.threshold import class_selection_distribution, confidence_and_argmax
@@ -134,8 +133,13 @@ def boundary_weights(mask: np.ndarray) -> np.ndarray:
     horizontal = m[:, :-1] != m[:, 1:]
     boundary[:, :-1] |= horizontal
     boundary[:, 1:] |= horizontal
-    band = maximum_filter(boundary, size=7, mode="constant", cval=False)
-    return np.where(band, 2.0, 1.0)
+    # dilate along rows, then along columns, in place; numpy reads an overlapping
+    # operand as a copy, so shifts of 1 give radius 1 and then shifts of 2 radius 3
+    for plane in (boundary, boundary.T):
+        for step in (1, 2):
+            plane[step:] |= plane[:-step]
+            plane[:-step] |= plane[step:]
+    return np.where(boundary, 2.0, 1.0)
 
 
 def mix(source_image: np.ndarray, source_labels: np.ndarray,

@@ -1,8 +1,12 @@
+import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,66 @@ def test_a_failing_child_exits_without_writing_to_stderr(two_cpus, capfd):
     assert len(two_cpus) == 1
     assert capfd.readouterr().err == ""
     _assert_no_child_left()
+
+
+_FORKED_FIRST_USE = """
+import json
+import os
+import sys
+
+import numpy as np
+
+from segadapt import metrics
+from segadapt.config import TrainConfig
+from segadapt.data import generate_domain
+from segadapt.model import PixelModel
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.sched_setaffinity = lambda pid, cpus: None  # a host of one CPU too
+PID, fork, loaded_at_fork, caller_scenes = os.getpid(), os.fork, [], []
+
+
+def counted_fork():
+    loaded_at_fork.append("scipy.ndimage" in sys.modules)
+    return fork()
+
+
+class CountingModel(PixelModel):
+    def predict_labels(self, image):
+        if os.getpid() == PID:
+            caller_scenes.append(image)
+        return super().predict_labels(image)
+
+
+os.fork = counted_fork
+cfg = TrainConfig()
+scenes = generate_domain(cfg, "target", 2 * metrics.MIN_SHARE // (cfg.height * cfg.width) + 1, 0)
+model = CountingModel(cfg.num_classes)
+iou, miou = metrics.evaluate_miou(model, scenes, cfg.num_classes)
+counted = len(caller_scenes)
+want_iou, want_miou = metrics.iou_from_confusion(
+    metrics._confusion(model, scenes, cfg.num_classes))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True  # a child, running or unreaped
+except ChildProcessError:
+    left = False
+print(json.dumps({"loaded_at_fork": loaded_at_fork, "scenes": len(scenes),
+                  "caller_scenes": counted, "same_bits": iou.tobytes() == want_iou.tobytes()
+                  and miou == want_miou, "child_left": left}))
+"""
+
+
+def test_workers_forked_before_the_first_pixel_features_give_the_serial_bits():
+    # segadapt eval reaches evaluate_miou in a fresh process, before any
+    # pixel_features call, so the forked worker loads scipy.ndimage itself
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FORKED_FIRST_USE], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    got = json.loads(done.stdout.splitlines()[-1])
+    assert got["loaded_at_fork"] == [False]
+    assert got["caller_scenes"] == got["scenes"] // 2  # the child sent its slice's counts
+    assert got["same_bits"]
+    assert not got["child_left"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter
 
 from segadapt.config import TrainConfig
 from segadapt.losses import IGNORE_LABEL
@@ -235,24 +236,31 @@ def test_mix_shape_mismatch():
 
 # ------------------------------------------------------------ boundary weights
 
-def brute_force_weights(mask):
-    """Direct double-loop realization of the weight rule, used as oracle."""
+def brute_force_boundary(mask):
+    """Direct loop realization of the boundary rule: a 4-neighbour of the other value."""
     m = np.asarray(mask, dtype=bool)
     h, w = m.shape
-    boundary = np.zeros_like(m)
+    m = m.tolist()  # nested lists: a Python loop reads their items faster than an array's
+    boundary = [[False] * w for _ in range(h)]
     for i in range(h):
         for j in range(w):
             for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 ni, nj = i + di, j + dj
-                if 0 <= ni < h and 0 <= nj < w and m[ni, nj] != m[i, j]:
-                    boundary[i, j] = True
-    weights = np.ones((h, w))
-    for i in range(h):
-        for j in range(w):
-            lo_i, hi_i = max(0, i - 3), min(h, i + 4)
-            lo_j, hi_j = max(0, j - 3), min(w, j + 4)
-            if boundary[lo_i:hi_i, lo_j:hi_j].any():
-                weights[i, j] = 2.0
+                if 0 <= ni < h and 0 <= nj < w and m[ni][nj] != m[i][j]:
+                    boundary[i][j] = True
+    return np.array(boundary, dtype=bool)
+
+
+def brute_force_weights(mask):
+    """Direct loop realization of the weight rule, used as oracle.
+
+    Each boundary pixel doubles the weights of its 7x7 window, which slicing
+    clips at the image border.
+    """
+    boundary = brute_force_boundary(mask)
+    weights = np.ones(boundary.shape)
+    for i, j in np.argwhere(boundary).tolist():
+        weights[max(0, i - 3):i + 4, max(0, j - 3):j + 4] = 2.0
     return weights
 
 
@@ -299,8 +307,11 @@ def blocky_masks(draw):
     return mask[:draw(st.integers(1, mask.shape[0])), :draw(st.integers(1, mask.shape[1]))]
 
 
+MASKS = st.one_of(arrays(np.bool_, st.tuples(SIDES, SIDES)), blocky_masks())
+
+
 @settings(max_examples=200, deadline=None)
-@given(mask=st.one_of(arrays(np.bool_, st.tuples(SIDES, SIDES)), blocky_masks()))
+@given(mask=MASKS)
 def test_boundary_weights_band_holds_every_boundary_pixel(mask):
     weights = boundary_weights(mask)
     assert weights.shape == mask.shape
@@ -312,6 +323,19 @@ def test_boundary_weights_band_holds_every_boundary_pixel(mask):
     for dy, dx in ((0, 1), (2, 1), (1, 0), (1, 2)):
         boundary |= padded[dy:dy + h, dx:dx + w] != mask
     assert np.all(weights[boundary] == 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=MASKS)
+@example(mask=np.zeros((1, 1), dtype=bool))
+@example(mask=np.eye(1, 20, 10, dtype=bool))  # 1 x N and N x 1: one axis has no neighbours
+@example(mask=np.eye(20, 1, -10, dtype=bool))
+@example(mask=np.eye(6, dtype=bool))  # sides below the 7-pixel window
+def test_boundary_weights_match_the_loop_and_scipys_dilation(mask):
+    weights = boundary_weights(mask)
+    assert np.array_equal(weights, brute_force_weights(mask))
+    band = maximum_filter(brute_force_boundary(mask), size=7, mode="constant", cval=False)
+    assert np.array_equal(weights, np.where(band, 2.0, 1.0))
 
 
 def test_full_augmentation_reproducible_under_seed():
