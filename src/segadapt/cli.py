@@ -101,6 +101,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mix_preview(args) -> int:
+    if args.preview_seed is not None and args.preview_seed < 0:
+        raise ValueError(f"--preview-seed must be a non-negative int, got {args.preview_seed}")
     cfg = _config_from(args)
     model = _load_model_for(cfg, args.model) if args.model else None
     out = Path(args.out)

@@ -9,11 +9,13 @@ and adds the weighted cross entropy on cross-domain mixed samples.
 All randomness is drawn from named substreams of the config seed, so a full
 run is reproducible bit for bit, including the CSV logs.
 
-A step's perturbed target image and its features depend on the stage's pick
-and perturb streams only, never on the model.  In a stage of ``MIN_STEPS`` or
-more, a child of ``metrics.forked`` builds them from its own copies of the
-streams and pipes them to the loop; the serial case reads the same byte
-stream, so the bytes are the serial ones.
+Both stages repeat one step.  ``_step`` is its math (the three maps, the
+threshold update and mask, stage two's mixed pair, the stage loss) and returns
+the loss parts and ``alpha``; ``_adaptation_loop`` draws the picks, decodes the
+perturbed branch, descends, logs each step in one place and runs the periodic
+eval.  The perturbed branch depends on the stage's pick and perturb streams
+only, so in a stage of ``MIN_STEPS`` or more a child of ``metrics.forked``
+builds it from its own copies of them; the serial case reads the same bytes.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
@@ -96,13 +98,14 @@ def build_datasets(cfg: TrainConfig):
     return source, target, cfg
 
 
-def _check_finite(parts: StageLosses, step: int, stage: str) -> float:
-    total = parts.total.item()
-    if not np.isfinite(total):
-        detail = {"l_s": parts.l_s.item(), "l_u": parts.l_u.item(),
-                  "l_m": parts.l_m.item() if parts.l_m is not None else None}
+def _check_finite(parts: StageLosses, step: int, stage: str) -> tuple:
+    """Raise ``TrainingDiverged`` unless the total is finite; return the step's metrics row."""
+    row = (step, parts.l_s.item(), parts.l_u.item(),
+           0.0 if parts.l_m is None else parts.l_m.item(), parts.total.item())
+    if not np.isfinite(row[-1]):
+        detail = {"l_s": row[1], "l_u": row[2], "l_m": None if parts.l_m is None else row[3]}
         raise TrainingDiverged(f"non-finite {stage} loss at step {step}: {detail}")
-    return total
+    return row
 
 
 def _descend(model: PixelModel, loss, lr: float, step: int, stage: str) -> None:
@@ -129,11 +132,7 @@ def _features(model: PixelModel, image) -> np.ndarray:
 
 
 def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
-    """Supervised training on the source domain only, in float32.
-
-    Single precision halves the cost of the per-pixel arithmetic; the loss
-    scalars stay float64 and evaluation runs in float64.
-    """
+    """Source-only supervised training, in float32 to halve the per-pixel arithmetic's cost."""
     model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=_rng(cfg, _STREAM_MODEL_INIT),
                        dtype=np.float32)
     feats = [_features(model, img) for img, _ in source]
@@ -146,17 +145,6 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
             raise TrainingDiverged(f"non-finite pretraining loss at step {step}")
         _descend(model, loss, cfg.learning_rate, step, "pretraining")
     return model
-
-
-def _target_branches(model, feats_t, flipped, feats_star, cfg):
-    """The weak-branch map, aligned with the perturbed branch, and the perturbed-branch map.
-
-    ``flipped`` and ``feats_star`` are decoded from a step's item of ``_perturbed_branch``.
-    """
-    p_t = model.prob_map(feats_t)
-    p_star = model.prob_map(feats_star)
-    p_hat = flip_width(p_t, cfg.width) if flipped else p_t
-    return p_hat, p_star
 
 
 def _picks(rng_pick, n_source, n_target, steps, stage2):
@@ -210,9 +198,34 @@ def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
                             pseudo_model=stage1_model)
 
 
+def _step(cfg, model, state, feats_s, y_s, feats_t, flipped, feats_star, mixing=None):
+    """One step's ``StageLosses`` and the ``alpha`` it leaves in ``state``.
+
+    ``mixing`` is stage two's ``(db, source_pair, target_image, target_labels,
+    rng_paste, rng_mix)``; its pair is drawn from the updated ``alpha``.
+    """
+    p_s = model.prob_map(feats_s)
+    p_t = model.prob_map(feats_t)
+    p_star = model.prob_map(feats_star)
+    p_hat = flip_width(p_t, cfg.width) if flipped else p_t
+
+    confidence, arg_labels = confidence_and_argmax(p_hat.data)
+    update(state, confidence, arg_labels)
+    mask = adaptive_mask(confidence, arg_labels, state.alpha)
+    if mixing is None:
+        return stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg), state.alpha
+
+    db, source_pair, target_image, target_labels, rng_paste, rng_mix = mixing
+    mixed = mixed_pair(cfg, db, source_pair, state.alpha, target_image, target_labels,
+                       rng_paste, rng_mix)
+    p_m = model.prob_map(_features(model, mixed.image))
+    return stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m, mixed.labels.ravel(),
+                       mixed.weights.ravel(), cfg), state.alpha
+
+
 def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, perturb_stream,
                      pseudo_model=None):
-    """Stage one's step; a ``pseudo_model`` adds stage two's mixed-pair term.
+    """Drive ``_step`` over a stage's picks; a ``pseudo_model`` adds stage two's mixed pair.
 
     ``pick_stream`` and ``perturb_stream`` name the stage's rng substreams.
     """
@@ -239,34 +252,19 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, pertur
     with (forked(branch, steps, plane.nbytes + 1) if steps >= MIN_STEPS
           else contextlib.nullcontext(branch)) as perturbed:
         for step, (data, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
-            flipped = bool(data[-1])
             feats_star = np.frombuffer(data, plane.dtype, plane.size).reshape(plane.shape)
-
-            p_s = model.prob_map(feats_s[s_idx])
-            y_s = labels_s[s_idx]
-            p_hat, p_star = _target_branches(model, feats_t[t_idx], flipped, feats_star, cfg)
-
-            confidence, arg_labels = confidence_and_argmax(p_hat.data)
-            update(state, confidence, arg_labels)
-            mask = adaptive_mask(confidence, arg_labels, state.alpha)
-
-            if pseudo_model is None:
-                parts = stage1_loss(p_s, y_s, p_hat, p_star, mask, cfg)
-            else:
+            mixing = None
+            if mixed_idx:
                 d_idx, m_idx = mixed_idx
-                mixed = mixed_pair(cfg, db, source[d_idx], state.alpha, target[m_idx][0],
-                                   pseudo[m_idx], rng_paste, rng_mix)
-                p_m = model.prob_map(_features(model, mixed.image))
-                parts = stage2_loss(p_s, y_s, p_hat, p_star, mask, p_m,
-                                    mixed.labels.ravel(), mixed.weights.ravel(), cfg)
+                mixing = (db, source[d_idx], target[m_idx][0], pseudo[m_idx], rng_paste, rng_mix)
+            parts, alpha = _step(cfg, model, state, feats_s[s_idx], labels_s[s_idx],
+                                 feats_t[t_idx], bool(data[-1]), feats_star, mixing)
 
-            total = _check_finite(parts, step, stage)
+            row = _check_finite(parts, step, stage)
             _descend(model, parts.total, lr, step, stage)
 
-            l_m = parts.l_m.item() if parts.l_m is not None else 0.0
-            log.metrics.append((step, parts.l_s.item(), parts.l_u.item(), l_m, total))
-            for c in range(cfg.num_classes):
-                log.thresholds.append((step, c, state.alpha[c]))
+            log.metrics.append(row)
+            log.thresholds.extend((step, c, a) for c, a in enumerate(alpha))
             if cfg.eval_every > 0 and (step + 1) % cfg.eval_every == 0:
                 _, miou = evaluate_miou(model, target, cfg.num_classes)
                 log.evals.append((step, miou))

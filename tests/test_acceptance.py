@@ -4,6 +4,7 @@ Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines live.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -500,6 +501,27 @@ def test_supporting_loss_decomposition_recomposes(pipeline_run):
     for log in (summary["stage1_log"], summary["stage2_log"]):
         for step, l_s, l_u, l_m, total in log.metrics[::97]:
             assert abs(total - (l_s + cfg.lambda_u * l_u + cfg.lambda_m * l_m)) < 1e-12
+
+
+# sha256 of the seven seed-0 CSVs since the channels-first pixel layout (CHANGES.md);
+# criterion 8 compares two runs of the same code, so only these pin the bytes themselves
+SEED0_SHA256 = {
+    "baseline_ious.csv": "0586da8dea1be47a628f8f5b9918652a8e9ee2ae3a4097684f142a29e951b6b7",
+    "stage1_ious.csv": "18f9ee6b7f0b299f7489a389b44407161702dcc1e9c54e180beeb30c3943470e",
+    "stage1_metrics.csv": "5fda1d57e5874366be34b7a5cfadcf3d2b95a4808104f25043b2e4712351aa9f",
+    "stage1_thresholds.csv": "182811c4c4c9352372b436355e1e276087bfa82320707fe2e549595e91aedf37",
+    "stage2_ious.csv": "2acb2cda0255a57bb55b43f8e35c46ae89db3ee0bf3b578cd701c47e6d01f66e",
+    "stage2_metrics.csv": "9b28a1b0fa150ef7b973f6a4924c9c0948a6016f1220cdd72f6fa8474ebe49b4",
+    "stage2_thresholds.csv": "586b69a02579734f8b0954c47f59e967e96c5e457879140641f62063c531bd0f",
+}
+
+
+def test_supporting_seed0_csvs_keep_their_recorded_sha256(pipeline_run):
+    _, out, _ = pipeline_run
+    changed = [name for name, digest in SEED0_SHA256.items()
+               if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
+    assert not changed, (f"seed-0 bytes changed in {changed}; a change that alters them "
+                         "must say why in CHANGES.md and record the new sha256 values")
 
 
 def test_supporting_pipeline_csvs_keep_the_row_by_row_bytes(pipeline_run):

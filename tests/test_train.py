@@ -424,6 +424,31 @@ def test_stage1_logs_and_decomposition(small_run):
     assert np.all((alphas >= 0.0) & (alphas <= 1.0))
 
 
+def test_step_reproduces_stage_one_first_logged_steps(small_run):
+    # stage one's first two steps, rebuilt serially from the stage's own streams and fed
+    # to _step and _descend, give the run's metrics rows and thresholds bit for bit;
+    # the second step's target is flipped, so the flip bit is decoded as the loop does
+    cfg, source, target, base, _, log1 = small_run
+    model, state, rng = base.clone(), train_module._threshold_state(cfg), train_module._rng
+    picks = list(train_module._picks(rng(cfg, train_module._STREAM_STAGE1), len(source),
+                                     len(target), 2, False))
+    items = list(train_module._perturbed_branch(
+        cfg, target, picks, rng(cfg, train_module._STREAM_STAGE1_PERTURB), model.dtype))
+    assert [item[-1] for item in items] == [0, 1]
+    for step, ((s_idx, t_idx), item) in enumerate(zip(picks, items)):
+        (s_img, s_labels), (t_img, _) = source[s_idx], target[t_idx]
+        feats_t = train_module._features(model, t_img)
+        feats_star = np.frombuffer(item, feats_t.dtype, feats_t.size).reshape(feats_t.shape)
+        parts, alpha = train_module._step(
+            cfg, model, state, train_module._features(model, s_img), s_labels.ravel(),
+            feats_t, bool(item[-1]), feats_star)
+        row = train_module._check_finite(parts, step, "stage1")
+        assert np.array(row).tobytes() == np.array(log1.metrics[step]).tobytes()
+        logged = [a for at, _, a in log1.thresholds if at == step]
+        assert alpha.tobytes() == np.array(logged).tobytes()
+        train_module._descend(model, parts.total, cfg.stage1_lr, step, "stage1")
+
+
 def test_stage1_alpha_leaves_t0(small_run):
     # the per-step threshold update is what moves alpha off its start value
     cfg, _, _, _, _, log1 = small_run
