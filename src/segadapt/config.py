@@ -155,8 +155,8 @@ def _coerce(name: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Read ``key = value`` lines; ``#`` starts a comment, blanks are skipped."""
-    values = {}
+    """Read ``key = value`` lines, each key once; ``#`` starts a comment, blanks are skipped."""
+    values, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -166,6 +166,9 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, raw = text.split("=", 1)
             key = key.strip()
+            if first_line.setdefault(key, lineno) != lineno:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {first_line[key]})")
             try:
                 values[key] = _coerce(key, raw)
             except (KeyError, ValueError) as exc:

@@ -58,11 +58,11 @@ __all__ = [
 
 @dataclass
 class StageLosses:
-    """Composite training loss with its logged components."""
+    """Training loss and its logged parts; pretraining has ``l_s`` only, stage one no ``l_m``."""
 
     total: Tensor
     l_s: Tensor
-    l_u: Tensor
+    l_u: Tensor | None = None
     l_m: Tensor | None = None
 
 

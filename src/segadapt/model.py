@@ -15,7 +15,10 @@ from segadapt.autodiff import Tensor, mlp_softmax
 from segadapt.data import NUM_FEATURES, pixel_features
 from segadapt.threshold import confidence_and_argmax
 
-__all__ = ["PixelModel", "save_model", "load_model"]
+__all__ = ["PARAM_NAMES", "PixelModel", "save_model", "load_model"]
+
+# the parameters' names, in the order of ``PixelModel.params``
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
 class PixelModel:
@@ -73,13 +76,11 @@ class PixelModel:
         return confidence_and_argmax(self.predict_probs(image))[1]
 
     def state_dict(self) -> dict:
-        return {"w1": self.w1.data.copy(), "b1": self.b1.data.copy(),
-                "w2": self.w2.data.copy(), "b2": self.b2.data.copy()}
+        return {name: p.data.copy() for name, p in zip(PARAM_NAMES, self.params)}
 
     def load_state_dict(self, state: dict) -> None:
         """Copy ``state`` into the parameters, in the parameters' dtype."""
-        for name in ("w1", "b1", "w2", "b2"):
-            param = getattr(self, name)
+        for name, param in zip(PARAM_NAMES, self.params):
             values = np.asarray(state[name], dtype=param.data.dtype)
             if values.shape != param.data.shape:
                 raise ValueError(f"{name}: shape {values.shape} != {param.data.shape}")
@@ -99,5 +100,5 @@ def save_model(path, model: PixelModel) -> None:
 def load_model(path) -> PixelModel:
     with np.load(path) as data:
         model = PixelModel(int(data["num_classes"]), int(data["hidden"]), dtype=data["w1"].dtype)
-        model.load_state_dict({k: data[k] for k in ("w1", "b1", "w2", "b2")})
+        model.load_state_dict({k: data[k] for k in PARAM_NAMES})
     return model

@@ -9,13 +9,14 @@ and adds the weighted cross entropy on cross-domain mixed samples.
 All randomness is drawn from named substreams of the config seed, so a full
 run is reproducible bit for bit, including the CSV logs.
 
-Both stages repeat one step.  ``_step`` is its math (the three maps, the
-threshold update and mask, stage two's mixed pair, the stage loss) and returns
-the loss parts and ``alpha``; ``_adaptation_loop`` draws the picks, decodes the
-perturbed branch, descends, logs each step in one place and runs the periodic
-eval.  The perturbed branch depends on the stage's pick and perturb streams
-only, so in a stage of ``MIN_STEPS`` or more a child of ``metrics.forked``
-builds it from its own copies of them; the serial case reads the same bytes.
+Every phase takes one checked SGD step, ``_descend``.  Both stages repeat one
+step: ``_step`` is its math (the three maps, the threshold update and mask,
+stage two's mixed pair, the stage loss); ``_adaptation_loop`` draws the picks,
+decodes the perturbed branch, descends, logs each step in one place and runs
+the periodic eval.  The perturbed branch depends on the stage's pick and
+perturb streams only, so in a stage of ``MIN_STEPS`` or more a child of
+``metrics.forked`` builds it from its own copies of them; the serial case reads
+the same bytes.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
@@ -37,7 +38,7 @@ from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
 from segadapt.metrics import evaluate_miou, forked
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
-from segadapt.model import PixelModel
+from segadapt.model import PARAM_NAMES, PixelModel
 from segadapt.netpbm import write_csv
 from segadapt.threshold import ThresholdState, adaptive_mask, confidence_and_argmax, update
 
@@ -98,32 +99,29 @@ def build_datasets(cfg: TrainConfig):
     return source, target, cfg
 
 
-def _check_finite(parts: StageLosses, step: int, stage: str) -> tuple:
-    """Raise ``TrainingDiverged`` unless the total is finite; return the step's metrics row."""
-    row = (step, parts.l_s.item(), parts.l_u.item(),
-           0.0 if parts.l_m is None else parts.l_m.item(), parts.total.item())
-    if not np.isfinite(row[-1]):
-        detail = {"l_s": row[1], "l_u": row[2], "l_m": None if parts.l_m is None else row[3]}
-        raise TrainingDiverged(f"non-finite {stage} loss at step {step}: {detail}")
-    return row
+def _descend(model: PixelModel, parts: StageLosses, lr: float, step: int, stage: str) -> tuple:
+    """Check and take one SGD step on ``parts.total``; return the metrics row.
 
-
-def _descend(model: PixelModel, loss, lr: float, step: int, stage: str) -> None:
-    """Backpropagate ``loss``, check every gradient is finite, take an SGD step, check it.
-
-    A finite gradient times a rate too large for the parameter dtype still
-    writes inf or nan, so each updated parameter is checked as well.
+    The row is ``(step, l_s, l_u, l_m, total)``, an absent part reading 0.0.  A
+    non-finite total, gradient or update raises ``TrainingDiverged``: every
+    gradient is checked before any parameter moves, and each update after it,
+    since a finite gradient times a rate too large for the dtype writes inf or nan.
     """
-    loss.backward()
-    names = ("w1", "b1", "w2", "b2")
-    for name, p in zip(names, model.params):
+    detail = {name: None if part is None else part.item()
+              for name, part in (("l_s", parts.l_s), ("l_u", parts.l_u), ("l_m", parts.l_m))}
+    total = parts.total.item()
+    if not np.isfinite(total):
+        raise TrainingDiverged(f"non-finite {stage} loss at step {step}: {detail}")
+    parts.total.backward()
+    for name, p in zip(PARAM_NAMES, model.params):
         if not np.all(np.isfinite(p.grad)):
             raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
-    for name, p in zip(names, model.params):
+    for name, p in zip(PARAM_NAMES, model.params):
         p.data = p.data - p.data.dtype.type(lr) * p.grad
         p.zero_grad()
         if not np.all(np.isfinite(p.data)):
             raise TrainingDiverged(f"non-finite {stage} update of {name} at step {step}")
+    return (step, *(0.0 if v is None else v for v in detail.values()), total)
 
 
 def _features(model: PixelModel, image) -> np.ndarray:
@@ -141,9 +139,7 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
     for step in range(cfg.pretrain_steps):
         i = int(rng.integers(len(source)))
         loss = supervised_ce_loss(model.prob_map(feats[i]), flat_labels[i], cfg.epsilon)
-        if not np.isfinite(loss.item()):
-            raise TrainingDiverged(f"non-finite pretraining loss at step {step}")
-        _descend(model, loss, cfg.learning_rate, step, "pretraining")
+        _descend(model, StageLosses(total=loss, l_s=loss), cfg.learning_rate, step, "pretraining")
     return model
 
 
@@ -260,10 +256,7 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, pertur
             parts, alpha = _step(cfg, model, state, feats_s[s_idx], labels_s[s_idx],
                                  feats_t[t_idx], bool(data[-1]), feats_star, mixing)
 
-            row = _check_finite(parts, step, stage)
-            _descend(model, parts.total, lr, step, stage)
-
-            log.metrics.append(row)
+            log.metrics.append(_descend(model, parts, lr, step, stage))
             log.thresholds.extend((step, c, a) for c, a in enumerate(alpha))
             if cfg.eval_every > 0 and (step + 1) % cfg.eval_every == 0:
                 _, miou = evaluate_miou(model, target, cfg.num_classes)

@@ -4,7 +4,7 @@ The imports are read from the source with ``ast``, so what an interpreter
 happens to load at start-up (``sys.modules``) does not hide a new dependency.
 Importing the package loads the standard library and numpy only: scipy is
 imported inside ``pixel_features``, the one function that filters an image,
-at its first call.
+at its first call.  Every name a module imports is used in it or exported.
 """
 
 import ast
@@ -67,6 +67,42 @@ def test_no_module_imports_scipy_at_module_level():
              if package == "scipy"]
     assert sources
     assert not eager, eager
+
+
+# bench/layers.py wraps these losses by name in segadapt.gradcurves and raises on a
+# missing one; gradcurves itself calls only their term helpers
+UNUSED_IMPORTS = {("gradcurves.py", name) for name in
+                  ("maximum_square_loss", "shannon_entropy_loss", "unsupervised_focal_loss")}
+
+
+def _bound_names(node):
+    """(line, name) of each name that ``node`` binds if it is an import, else nothing."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [(node.lineno, alias.asname or alias.name.partition(".")[0]) for alias in node.names]
+    return []
+
+
+def _exported(tree):
+    """The names in ``tree``'s module-level ``__all__``."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
+def test_every_imported_name_is_used_or_exported():
+    # the package's __init__ imports only to re-export: its imports are the package's API
+    sources = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    unused = {}
+    for path in sources:
+        tree = ast.parse(path.read_text("utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        unused.update(((path.name, name), line) for node in ast.walk(tree)
+                      for line, name in _bound_names(node) if name not in used)
+    assert sources
+    assert set(unused) == UNUSED_IMPORTS, [f"{path}:{line}: {name}" for (path, name), line
+                                           in sorted(unused.items())]
 
 
 _FIRST_USE = """

@@ -75,6 +75,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         parse_config_file(path)
 
 
+def test_config_rejects_duplicate_keys(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\nseed = 2\n")
+    message = f"{path}:2: duplicate key 'seed' (first set on line 1)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        parse_config_file(path)
+
+
 @pytest.mark.parametrize("field, raw, kind", [
     ("gamma", "abc", "a number"),
     ("gamma", "", "a number"),
@@ -442,11 +450,10 @@ def test_step_reproduces_stage_one_first_logged_steps(small_run):
         parts, alpha = train_module._step(
             cfg, model, state, train_module._features(model, s_img), s_labels.ravel(),
             feats_t, bool(item[-1]), feats_star)
-        row = train_module._check_finite(parts, step, "stage1")
+        row = train_module._descend(model, parts, cfg.stage1_lr, step, "stage1")
         assert np.array(row).tobytes() == np.array(log1.metrics[step]).tobytes()
         logged = [a for at, _, a in log1.thresholds if at == step]
         assert alpha.tobytes() == np.array(logged).tobytes()
-        train_module._descend(model, parts.total, cfg.stage1_lr, step, "stage1")
 
 
 def test_stage1_alpha_leaves_t0(small_run):
@@ -553,8 +560,37 @@ def test_divergence_detection_raises():
     source, target, _ = build_datasets(cfg)
     broken = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6))
     broken.w1.data[0, 0] = np.nan
-    with pytest.raises(TrainingDiverged):
+    with pytest.raises(TrainingDiverged, match="^non-finite stage1 loss at step 0: "):
         train_stage1(cfg, datasets=(source, target), init_model=broken)
+
+
+def test_non_finite_pretraining_loss_names_its_step_and_parts(monkeypatch):
+    calls = 0
+
+    def nan_on_third_call(*args):
+        nonlocal calls
+        calls += 1
+        loss = supervised_ce_loss(*args)
+        return loss * np.nan if calls == 3 else loss
+
+    cfg = TrainConfig(**{**SMALL, "source_scenes": 4, "pretrain_steps": 5})
+    monkeypatch.setattr(train_module, "supervised_ce_loss", nan_on_third_call)
+    message = "non-finite pretraining loss at step 2: {'l_s': nan, 'l_u': None, 'l_m': None}"
+    with pytest.raises(TrainingDiverged, match="^" + re.escape(message) + "$"):
+        pretrain_source(cfg, build_datasets(cfg)[0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_failed_step_checks_every_gradient_before_it_updates_any_parameter():
+    # w1's gradient is finite and comes first; b2's is nan (see _poison_gradient), so a
+    # step that updated w1 before checking b2 would leave w1 moved
+    model = PixelModel(3, 4, rng=np.random.default_rng(0))
+    loss = (model.w1 * 1.0).sum() + ((model.b2 - model.b2) ** 0.5).sum()
+    before = [p.data.copy() for p in model.params]
+    with pytest.raises(TrainingDiverged, match="^non-finite stage1 gradient of b2 at step 0$"):
+        train_module._descend(model, StageLosses(total=loss, l_s=loss), 0.1, 0, "stage1")
+    for p, data in zip(model.params, before):
+        assert p.data.tobytes() == data.tobytes()
 
 
 def _poison_gradient(loss_fn, bad_call):
