@@ -8,7 +8,7 @@ library and numpy only; ``scipy.ndimage`` loads at the first ``pixel_features``
 call, so ``segadapt gradcurves``, which filters no image, never loads it.
 """
 
-from segadapt.autodiff import Tensor, ShapeMismatchError, concat, flip_width
+from segadapt.autodiff import Tensor, ShapeMismatchError, concat
 from segadapt.config import TrainConfig, make_config, parse_config_file
 from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.gradcurves import curve, emit_csv, find_global_min

@@ -2,8 +2,8 @@
 
 The engine is deliberately small: dense row-major storage, elementwise
 arithmetic (add, subtract, negate, multiply, power) with scalar
-broadcasting, log and clamp, concat and a horizontal flip, softmax, sums,
-masked means, and stop-gradient, plus the classifier's whole forward
+broadcasting, log and clamp, concat, softmax, sums, masked means, and
+stop-gradient, plus the classifier's whole forward
 (``mlp_softmax``, (F, N) feature planes to a (C, N) map) as one node.  That
 is what the losses and the classifier use, and it keeps the backward pass
 easy to audit.  ``make_node`` is the one constructor of a graph node;
@@ -39,7 +39,6 @@ __all__ = [
     "Tensor",
     "ShapeMismatchError",
     "concat",
-    "flip_width",
     "make_node",
     "mlp_softmax",
 ]
@@ -309,17 +308,6 @@ def mlp_softmax(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
                 h @ g_z.T, g_z.sum(axis=1))
 
     return make_node(out, parents, vjp)
-
-
-def flip_width(x: Tensor, width: int) -> Tensor:
-    """Flip a (C, H*W) map of row-major (H, W) planes left to right; the VJP is the same flip."""
-    if x.data.ndim != 2 or width < 1 or x.shape[1] % width:
-        raise ShapeMismatchError(f"flip_width needs a 2-D map of width-{width} rows, got {x.shape}")
-
-    def flip(a):
-        return a.reshape(a.shape[0], -1, width)[:, :, ::-1].reshape(a.shape)
-
-    return make_node(flip(x.data), (x,), lambda g: (flip(g),))
 
 
 # ------------------------------------------------------------------ helpers

@@ -61,7 +61,6 @@ class TrainConfig:
     perturb_noise: float = 0.04
     perturb_brightness: float = 0.06
     perturb_contrast: float = 0.08
-    flip_prob: float = 0.5
     # mixing
     paste_count: int = 1
     # logging
@@ -122,12 +121,11 @@ class TrainConfig:
         # a brightness offset above 1 pushes every pixel past the clip
         for name in ("perturb_brightness", "perturb_contrast"):
             yield name, 0.0 <= getattr(self, name) <= 1.0, "lie in [0, 1]"
-        yield "flip_prob", 0.0 <= self.flip_prob <= 1.0, "lie in [0, 1]"
         yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
         for name in ("gamma", "lambda_u", "lambda_m"):
             value = getattr(self, name)
             yield name, math.isfinite(value) and value >= 0.0, "be finite and >= 0"
-        yield "threshold_a", 0.0 <= self.threshold_a < 1.0, "lie in [0, 1)"
+        yield "threshold_a", 0.0 <= self.threshold_a <= 1.0, "lie in [0, 1]"
         yield "threshold_b", 0.0 < self.threshold_b <= 1.0, "lie in (0, 1]"
         yield "threshold_d", math.isfinite(self.threshold_d) and self.threshold_d >= 0.0, \
             "be finite and >= 0"

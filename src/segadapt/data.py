@@ -141,13 +141,11 @@ def pixel_features(image: np.ndarray) -> np.ndarray:
 
 
 def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,
-            brightness: float = 0.06, contrast: float = 0.08,
-            flip_prob: float = 0.5):
-    """Photometric jitter plus optional horizontal flip.
+            brightness: float = 0.06, contrast: float = 0.08) -> np.ndarray:
+    """Photometric jitter: a contrast scale, a brightness offset, then pixel noise.
 
-    Returns the perturbed image and whether it was flipped; a flipped
-    prediction is realigned with :func:`segadapt.autodiff.flip_width`.
-    Zero magnitudes and ``flip_prob=0`` reproduce the input exactly.
+    Returns the perturbed image, clipped to [0, 1]; zero magnitudes return the
+    input exactly.
     """
     out = np.asarray(image, dtype=np.float64)
     scale = 1.0 + rng.uniform(-contrast, contrast) if contrast > 0.0 else 1.0
@@ -155,7 +153,4 @@ def perturb(image: np.ndarray, rng: np.random.Generator, noise: float = 0.04,
     out = (out - 0.5) * scale + 0.5 + offset
     if noise > 0.0:
         out = out + rng.normal(0.0, noise, size=out.shape)
-    flipped = bool(rng.random() < flip_prob) if flip_prob > 0.0 else False
-    if flipped:
-        out = out[:, :, ::-1]
-    return np.clip(out, 0.0, 1.0), flipped
+    return np.clip(out, 0.0, 1.0)

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from segadapt.autodiff import flip_width
 from segadapt.config import TrainConfig, format_config
 from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
@@ -153,12 +152,14 @@ def _picks(rng_pick, n_source, n_target, steps, stage2):
 
 
 def _perturbed_branch(cfg, target, picks, rng_perturb, dtype):
-    """Each step's perturbed target image's features in ``dtype`` as bytes, then its flip bit."""
+    """Each step's perturbed target image's features in ``dtype`` as bytes."""
     for _, t_idx, *_ in picks:
-        x_star, flipped = perturb(target[t_idx][0], rng_perturb, noise=cfg.perturb_noise,
-                                  brightness=cfg.perturb_brightness,
-                                  contrast=cfg.perturb_contrast, flip_prob=cfg.flip_prob)
-        yield pixel_features(x_star).astype(dtype, copy=False).tobytes() + bytes([flipped])
+        x_star = perturb(target[t_idx][0], rng_perturb, noise=cfg.perturb_noise,
+                         brightness=cfg.perturb_brightness, contrast=cfg.perturb_contrast)
+        # the retired horizontal-flip coin (a flip only reorders a per-pixel classifier's
+        # pixels); its draw stays so that every later noise draw and seed 0's bytes do
+        rng_perturb.random()
+        yield pixel_features(x_star).astype(dtype, copy=False).tobytes()
 
 
 # Steps of a stage from which a producer pays.  On a 2-core x86-64 host one cost
@@ -194,16 +195,15 @@ def train_stage2(cfg: TrainConfig, stage1_model: PixelModel, datasets,
                             pseudo_model=stage1_model)
 
 
-def _step(cfg, model, state, feats_s, y_s, feats_t, flipped, feats_star, mixing=None):
+def _step(cfg, model, state, feats_s, y_s, feats_t, feats_star, mixing=None):
     """One step's ``StageLosses`` and the ``alpha`` it leaves in ``state``.
 
     ``mixing`` is stage two's ``(db, source_pair, target_image, target_labels,
     rng_paste, rng_mix)``; its pair is drawn from the updated ``alpha``.
     """
     p_s = model.prob_map(feats_s)
-    p_t = model.prob_map(feats_t)
+    p_hat = model.prob_map(feats_t)
     p_star = model.prob_map(feats_star)
-    p_hat = flip_width(p_t, cfg.width) if flipped else p_t
 
     confidence, arg_labels = confidence_and_argmax(p_hat.data)
     update(state, confidence, arg_labels)
@@ -245,16 +245,16 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, pertur
 
     plane = feats_t[0]
     branch = _perturbed_branch(cfg, target, picks(), _rng(cfg, perturb_stream), model.dtype)
-    with (forked(branch, steps, plane.nbytes + 1) if steps >= MIN_STEPS
+    with (forked(branch, steps, plane.nbytes) if steps >= MIN_STEPS
           else contextlib.nullcontext(branch)) as perturbed:
         for step, (data, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
-            feats_star = np.frombuffer(data, plane.dtype, plane.size).reshape(plane.shape)
+            feats_star = np.frombuffer(data, plane.dtype).reshape(plane.shape)
             mixing = None
             if mixed_idx:
                 d_idx, m_idx = mixed_idx
                 mixing = (db, source[d_idx], target[m_idx][0], pseudo[m_idx], rng_paste, rng_mix)
             parts, alpha = _step(cfg, model, state, feats_s[s_idx], labels_s[s_idx],
-                                 feats_t[t_idx], bool(data[-1]), feats_star, mixing)
+                                 feats_t[t_idx], feats_star, mixing)
 
             log.metrics.append(_descend(model, parts, lr, step, stage))
             log.thresholds.extend((step, c, a) for c, a in enumerate(alpha))

@@ -503,16 +503,16 @@ def test_supporting_loss_decomposition_recomposes(pipeline_run):
             assert abs(total - (l_s + cfg.lambda_u * l_u + cfg.lambda_m * l_m)) < 1e-12
 
 
-# sha256 of the seven seed-0 CSVs since the channels-first pixel layout (CHANGES.md);
+# sha256 of the seven seed-0 CSVs since the perturbed branch lost its flip (CHANGES.md);
 # criterion 8 compares two runs of the same code, so only these pin the bytes themselves
 SEED0_SHA256 = {
     "baseline_ious.csv": "0586da8dea1be47a628f8f5b9918652a8e9ee2ae3a4097684f142a29e951b6b7",
     "stage1_ious.csv": "18f9ee6b7f0b299f7489a389b44407161702dcc1e9c54e180beeb30c3943470e",
-    "stage1_metrics.csv": "5fda1d57e5874366be34b7a5cfadcf3d2b95a4808104f25043b2e4712351aa9f",
-    "stage1_thresholds.csv": "182811c4c4c9352372b436355e1e276087bfa82320707fe2e549595e91aedf37",
+    "stage1_metrics.csv": "2f6c04c4cc663316ac5c26249cea57a7e20a5840f1f9e8fa21582895c9a3024e",
+    "stage1_thresholds.csv": "8f09e5cc81a9872a78351a9a8741ff8c3b147667f790ba522dcc39955116e5d4",
     "stage2_ious.csv": "2acb2cda0255a57bb55b43f8e35c46ae89db3ee0bf3b578cd701c47e6d01f66e",
-    "stage2_metrics.csv": "9b28a1b0fa150ef7b973f6a4924c9c0948a6016f1220cdd72f6fa8474ebe49b4",
-    "stage2_thresholds.csv": "586b69a02579734f8b0954c47f59e967e96c5e457879140641f62063c531bd0f",
+    "stage2_metrics.csv": "38a0675f21b5c774bf07f8bedab1b46a6794c2ded0d7ef4715789c89fb41e90c",
+    "stage2_thresholds.csv": "2ccb3c5f3f7732442bafeeedbe4a71e8f9b67000d5074fccb0100c5003aeff7e",
 }
 
 

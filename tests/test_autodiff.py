@@ -7,7 +7,6 @@ from segadapt.autodiff import (
     Tensor,
     ShapeMismatchError,
     concat,
-    flip_width,
     make_node,
     mlp_softmax,
 )
@@ -218,7 +217,7 @@ def test_repeated_backward_accumulates_until_zeroed():
     assert np.array_equal(x.grad, [7.0])
 
 
-def test_concat_and_flip_width_gradients():
+def test_concat_gradients():
     a = Tensor([[1.0]], requires_grad=True)
     b = Tensor([[2.0]], requires_grad=True)
     stacked = concat([a, b], axis=0)
@@ -226,23 +225,6 @@ def test_concat_and_flip_width_gradients():
     (stacked * Tensor([[3.0], [5.0]])).sum().backward()
     assert np.allclose(a.grad, [[3.0]])
     assert np.allclose(b.grad, [[5.0]])
-
-    # two (2, 3) planes, rows [0 1 2] [3 4 5] and [6 7 8] [9 10 11]: each row reverses,
-    # and each flow goes back to the column it came from
-    x = Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
-    y = flip_width(x, 3)
-    assert np.array_equal(y.data, [[2, 1, 0, 5, 4, 3], [8, 7, 6, 11, 10, 9]])
-    w = np.arange(12.0).reshape(2, 6) * 10.0
-    (y * Tensor(w)).sum().backward()
-    assert np.array_equal(x.grad, [[20, 10, 0, 50, 40, 30], [80, 70, 60, 110, 100, 90]])
-    assert np.array_equal(flip_width(y, 3).data, x.data)  # a flip is its own inverse
-
-
-@pytest.mark.parametrize("shape, width", [((6,), 3), ((1, 2, 3), 3), ((2, 6), 4), ((2, 6), 0)],
-                         ids=["1d", "3d", "partial_row", "zero_width"])
-def test_flip_width_rejects_a_map_that_is_not_whole_rows(shape, width):
-    with pytest.raises(ShapeMismatchError, match="flip_width"):
-        flip_width(Tensor(np.zeros(shape)), width)
 
 
 def test_linear_gradients():
@@ -346,7 +328,7 @@ def test_mlp_softmax_rejects_mismatched_shapes_and_mixed_parameter_dtypes():
 
 
 OP_NAMES = ["add", "sub", "mul", "neg", "log", "pow", "tanh", "clamp", "softmax",
-            "sum_axis", "masked_mean", "linear", "flip_width", "mlp_softmax"]
+            "sum_axis", "masked_mean", "linear", "mlp_softmax"]
 
 
 @pytest.mark.parametrize("name", OP_NAMES)
@@ -359,7 +341,7 @@ def test_every_op_gradient_vs_finite_differences(name):
     mask = rng.random((3, 5)) < 0.6
     weight = rng.uniform(-1.0, 1.0, size=(5, 5))
     bias = rng.uniform(-1.0, 1.0, size=5)
-    is_linear = name in ("add", "sub", "neg", "sum_axis", "linear", "flip_width")
+    is_linear = name in ("add", "sub", "neg", "sum_axis", "linear")
 
     def build(values):
         t = Tensor(values, requires_grad=True)
@@ -387,8 +369,6 @@ def test_every_op_gradient_vs_finite_differences(name):
             return t, t.masked_mean(mask)
         elif name == "linear":  # (3, 5) columns to (5, 5)
             out = linear(t, Tensor(weight[:3]), Tensor(bias))
-        elif name == "flip_width":  # (3, 5) is three planes of one row of 5
-            out = flip_width(t, 5)
         elif name == "mlp_softmax":
             out = mlp_softmax(t, Tensor(weight[:3]), Tensor(bias), Tensor(weight), Tensor(bias))
         else:
@@ -449,7 +429,6 @@ def test_every_op_follows_float32_inputs(name):
         "masked_mean": lambda t: t.masked_mean(mask),
         "linear": lambda t: linear(t, _f32(rng.uniform(-1.0, 1.0, size=(3, 5))),
                                    _f32(rng.uniform(-1.0, 1.0, size=5))),
-        "flip_width": lambda t: flip_width(t, 5),
         "mlp_softmax": lambda t: mlp_softmax(
             t, _f32(rng.uniform(-1.0, 1.0, size=(3, 4))), _f32(rng.uniform(-1.0, 1.0, size=4)),
             _f32(rng.uniform(-1.0, 1.0, size=(4, 3))), _f32(rng.uniform(-1.0, 1.0, size=3))),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.ndimage import uniform_filter
 
-from segadapt.autodiff import Tensor, flip_width
 from segadapt.config import TrainConfig, make_config
 from segadapt.data import (
     _BASE_COLORS,
@@ -15,6 +14,8 @@ from segadapt.data import (
     perturb,
     pixel_features,
 )
+from segadapt.model import PixelModel
+from segadapt.train import build_datasets
 
 
 _TINY = 5e-324  # the smallest positive float
@@ -126,36 +127,28 @@ def test_pixel_features_is_byte_identical_to_the_allocating_expression(height, w
 def test_perturb_zero_magnitude_is_identity():
     rng = np.random.default_rng(1)
     image = np.random.default_rng(2).random((3, 6, 6))
-    out, flipped = perturb(image, rng, noise=0.0, brightness=0.0, contrast=0.0,
-                           flip_prob=0.0)
-    assert not flipped
+    out = perturb(image, rng, noise=0.0, brightness=0.0, contrast=0.0)
     assert np.array_equal(out, image)
 
 
-def test_flip_twice_is_identity():
-    image = np.random.default_rng(3).random((3, 5, 7))
-    assert np.array_equal(image[:, :, ::-1][:, :, ::-1], image)
+def test_a_flipped_scene_gives_the_flipped_prob_map():
+    # a per-pixel model over edge-replicated 3x3 statistics maps a flipped scene to the
+    # flipped map, so flipping the perturbed branch would only reorder the pixels the
+    # losses average over; a spatial feature or model that breaks this needs the flip back
+    cfg = TrainConfig(source_scenes=1, target_scenes=6)  # seed 0's first target scenes
+    _, target, _ = build_datasets(cfg)
+    model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(0),
+                       dtype=np.float32)
+    rng = np.random.default_rng(0)
 
+    def prob_map(image):
+        return model.prob_map(pixel_features(image).astype(np.float32)).data.reshape(
+            cfg.num_classes, cfg.height, cfg.width)
 
-def test_flip_width_aligns_predictions():
-    # A per-pixel map of the flipped image equals the flipped map of the
-    # original image, so flip_width realigns the two branches.
-    image = np.random.default_rng(4).random((3, 6, 9))
-
-    def per_pixel(img):  # any map that reads each pixel on its own
-        e = np.exp(3.0 * img)
-        return (e / e.sum(axis=0)).reshape(3, -1)
-
-    realigned = flip_width(Tensor(per_pixel(image)), 9).data
-    assert np.array_equal(realigned, per_pixel(image[:, :, ::-1]))
-    assert np.array_equal(flip_width(Tensor(realigned), 9).data, per_pixel(image))  # involution
-
-
-def test_perturb_draws_flip_eventually():
-    rng = np.random.default_rng(5)
-    image = np.random.default_rng(6).random((3, 4, 4))
-    flips = [perturb(image, rng, flip_prob=0.5)[1] for _ in range(50)]
-    assert any(flips) and not all(flips)
+    for image, _ in target:
+        x_star = perturb(image, rng)
+        assert np.allclose(prob_map(x_star[:, :, ::-1]), prob_map(x_star)[:, :, ::-1],
+                           rtol=0.0, atol=1e-6)
 
 
 def test_generate_scene_rejects_unknown_domain():

@@ -27,7 +27,7 @@ from segadapt.losses import (
 import segadapt.metrics as metrics_module
 from segadapt.metrics import evaluate_miou
 from segadapt.model import PixelModel, load_model, save_model
-from segadapt.threshold import adaptive_mask, confidence_and_argmax
+from segadapt.threshold import adaptive_mask, confidence_and_argmax, fixed_mask
 import segadapt.train as train_module
 from segadapt.train import (
     TrainingDiverged,
@@ -73,6 +73,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("seed = 3\nnot_a_field = 1\n")
     with pytest.raises(KeyError, match=re.escape(f"{path}:2: unknown config key: 'not_a_field'")):
         parse_config_file(path)
+
+
+def test_config_rejects_a_run_directory_written_with_the_flip_knob(tmp_path):
+    # a config.txt written while the perturbed branch still had a horizontal flip
+    path = tmp_path / "config.txt"
+    text = format_config(TrainConfig())
+    text = text.replace("perturb_contrast = 0.08\n", "perturb_contrast = 0.08\nflip_prob = 0.5\n")
+    path.write_text(text)
+    lineno = text.splitlines().index("flip_prob = 0.5") + 1
+    message = f"{path}:{lineno}: unknown config key: 'flip_prob'"
+    with pytest.raises(KeyError, match=re.escape(message)):
+        make_config(path)
 
 
 def test_config_rejects_duplicate_keys(tmp_path):
@@ -172,12 +184,12 @@ def test_config_checks_the_loss_fields_naming_the_field(field, value, ok):
                 build()
 
 
-# the threshold EMA's edges: a in [0, 1), b in (0, 1], d finite and >= 0, t0 in (0, 1]
+# the threshold EMA's edges: a in [0, 1], b in (0, 1], d finite and >= 0, t0 in (0, 1]
 _BELOW_ONE, _ABOVE_ONE = float(np.nextafter(1.0, 0.0)), float(np.nextafter(1.0, 2.0))
 
 
 @pytest.mark.parametrize("field, inside, outside", [
-    ("threshold_a", [0.0, _BELOW_ONE], [-_TINY, 1.0, float("nan")]),
+    ("threshold_a", [0.0, _BELOW_ONE, 1.0], [-_TINY, _ABOVE_ONE, float("nan")]),
     ("threshold_b", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
     ("threshold_d", [0.0], [-_TINY, float("nan"), float("inf")]),
     ("threshold_t0", [_TINY, 1.0], [0.0, _ABOVE_ONE, float("nan")]),
@@ -202,7 +214,7 @@ def _assert_range(field, inside, outside):
 # numpy fails without naming the field (high <= 0, a negative seed), a NaN fill_prob fills
 # every cell, and 0 hidden units leave the model no hidden layer; learning rates finite
 # and > 0, step counts and paste_count >= 0, perturbation magnitudes finite and >= 0,
-# flip_prob in [0, 1], eval_every >= 0 (a negative one would evaluate nothing without a word)
+# eval_every >= 0 (a negative one would evaluate nothing without a word)
 _NAN, _INF = float("nan"), float("inf")
 _COUNT_AND_PROBABILITY_RANGES = [
     ("source_scenes", [1], [0]),
@@ -220,7 +232,6 @@ _COUNT_AND_PROBABILITY_RANGES = [
     ("perturb_noise", [0.0], [-_TINY, -0.1, _INF]),
     ("perturb_brightness", [0.0, 1.0], [-_TINY, _ABOVE_ONE, _INF, _NAN]),
     ("perturb_contrast", [0.0, 1.0], [-_TINY, -0.2, _ABOVE_ONE, _INF]),
-    ("flip_prob", [0.0, 1.0], [-_TINY, -0.5, _ABOVE_ONE, 2.0, _NAN]),
     ("eval_every", [0, 1], [-1]),
 ]
 
@@ -267,14 +278,14 @@ _EDGES = {
     "epsilon": [0.0, _TINY, _BELOW_ONE, 1.0, _NAN],
     "gamma": [-_TINY, 0.0, _TINY, _NAN, _INF, 2, "2"],
     "lambda_u": [-_TINY, 0.0, _NAN, _INF, False], "lambda_m": [-_TINY, 0.0, _NAN, _INF],
-    "threshold_a": [-_TINY, 0.0, _BELOW_ONE, 1.0, _NAN],
+    "threshold_a": [-_TINY, 0.0, _BELOW_ONE, 1.0, _ABOVE_ONE, _NAN],
     "threshold_b": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
     "threshold_d": [-_TINY, 0.0, _NAN, _INF],
     "threshold_t0": [0.0, _TINY, 1.0, _ABOVE_ONE, _NAN],
     "perturb_noise": [-0.0, 0.0, _TINY, _NAN, _INF],
     "perturb_brightness": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
     "perturb_contrast": [-0.0, 0.0, _TINY, 1.0, _ABOVE_ONE, _NAN, _INF],
-    "flip_prob": [-_TINY, 0.0, 1.0, _ABOVE_ONE, _NAN], "eval_every": [-1, 0, 1, 2.5],
+    "eval_every": [-1, 0, 1, 2.5],
 }
 _NAMES_A_FIELD = re.compile(rf"^({'|'.join(f.name for f in dataclasses.fields(TrainConfig))}) must")
 # 32x32 scenes, cell 16, 4 scenes per domain, 3 steps per phase: about 20 ms a pipeline
@@ -376,7 +387,7 @@ def test_optimizer_gradients_spot_finite_difference():
     feats_s = pixel_features(source[0][0])
     y_s = source[0][1].ravel()
     feats_t = pixel_features(target[0][0])
-    x_star, _ = perturb(target[0][0], np.random.default_rng(4), flip_prob=0.0)
+    x_star = perturb(target[0][0], np.random.default_rng(4))
     feats_star = pixel_features(x_star)
     loss_cfg = TrainConfig()
     snapshot = Tensor(model.prob_map(feats_t).data.copy())
@@ -434,26 +445,45 @@ def test_stage1_logs_and_decomposition(small_run):
 
 def test_step_reproduces_stage_one_first_logged_steps(small_run):
     # stage one's first two steps, rebuilt serially from the stage's own streams and fed
-    # to _step and _descend, give the run's metrics rows and thresholds bit for bit;
-    # the second step's target is flipped, so the flip bit is decoded as the loop does
+    # to _step and _descend, give the run's metrics rows and thresholds bit for bit
     cfg, source, target, base, _, log1 = small_run
     model, state, rng = base.clone(), train_module._threshold_state(cfg), train_module._rng
     picks = list(train_module._picks(rng(cfg, train_module._STREAM_STAGE1), len(source),
                                      len(target), 2, False))
     items = list(train_module._perturbed_branch(
         cfg, target, picks, rng(cfg, train_module._STREAM_STAGE1_PERTURB), model.dtype))
-    assert [item[-1] for item in items] == [0, 1]
     for step, ((s_idx, t_idx), item) in enumerate(zip(picks, items)):
         (s_img, s_labels), (t_img, _) = source[s_idx], target[t_idx]
         feats_t = train_module._features(model, t_img)
-        feats_star = np.frombuffer(item, feats_t.dtype, feats_t.size).reshape(feats_t.shape)
+        assert len(item) == feats_t.nbytes  # the planes alone, as the loop reads them
+        feats_star = np.frombuffer(item, feats_t.dtype).reshape(feats_t.shape)
         parts, alpha = train_module._step(
             cfg, model, state, train_module._features(model, s_img), s_labels.ravel(),
-            feats_t, bool(item[-1]), feats_star)
+            feats_t, feats_star)
         row = train_module._descend(model, parts, cfg.stage1_lr, step, "stage1")
         assert np.array(row).tobytes() == np.array(log1.metrics[step]).tobytes()
         logged = [a for at, _, a in log1.thresholds if at == step]
         assert alpha.tobytes() == np.array(logged).tobytes()
+
+
+def test_stage1_with_full_threshold_memory_masks_at_the_fixed_cutoff(small_run, monkeypatch):
+    # at threshold_a = 1 the EMA keeps no part of a candidate, so every alpha stays t0
+    # and the adaptive mask is the fixed-cutoff mask at t0: a fixed-threshold run
+    cfg, source, target, base, _, _ = small_run
+    cfg1 = dataclasses.replace(cfg, threshold_a=1.0)
+    masked = []
+
+    def checked_mask(confidence, labels, alpha):
+        mask = adaptive_mask(confidence, labels, alpha)
+        assert np.array_equal(mask, fixed_mask(confidence, cfg1.threshold_t0))
+        masked.append(mask.mean())
+        return mask
+
+    monkeypatch.setattr(train_module, "adaptive_mask", checked_mask)
+    _, log = train_stage1(cfg1, datasets=(source, target), init_model=base)
+    assert len(masked) == cfg1.stage1_steps and 0.0 < np.mean(masked) < 1.0
+    assert all(a == cfg1.threshold_t0 for _, _, a in log.thresholds)
+    assert len(log.thresholds) == cfg1.stage1_steps * cfg1.num_classes
 
 
 def test_stage1_alpha_leaves_t0(small_run):
@@ -514,7 +544,7 @@ def test_float32_stage1_step_keeps_float32():
     model = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(3),
                        dtype=np.float32)
     feats = [pixel_features(img).astype(np.float32) for img in
-             (source[0][0], target[0][0], perturb(target[0][0], np.random.default_rng(4))[0])]
+             (source[0][0], target[0][0], perturb(target[0][0], np.random.default_rng(4)))]
     p_hat = model.prob_map(feats[1])
     conf, labs = confidence_and_argmax(p_hat.data)
     mask = adaptive_mask(conf, labs, np.full(cfg.num_classes, np.median(conf)))
