@@ -130,11 +130,10 @@ def pixel_features(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     c = image.shape[0]
     feats = np.empty((3 * c,) + image.shape[1:])
-    feats[:c] = image
+    feats[:c] = feats[c:2 * c] = image
     mean, var = feats[c:2 * c], feats[2 * c:]
-    uniform_filter(image, size=(1, 3, 3), output=mean, mode="nearest")
-    np.multiply(image, image, out=var)
-    uniform_filter(var, size=(1, 3, 3), output=var, mode="nearest")  # the mean square
+    np.multiply(image, image, out=var)  # one filter gives the mean and the mean square
+    uniform_filter(feats[c:], size=(1, 3, 3), output=feats[c:], mode="nearest")
     var -= mean * mean
     np.maximum(var, 0.0, out=var)
     return feats.reshape(3 * c, -1)

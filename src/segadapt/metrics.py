@@ -1,14 +1,16 @@
 """Segmentation evaluation: per-class intersection-over-union and its mean.
 
-``forked(stream, count, nbytes)`` is the one fork path of the package.  Where
-``fork_cpus`` allows more than one CPU, it starts a child from
-``multiprocessing``'s fork context that pins itself to an allowed CPU other
-than the one the caller last ran on and sends each byte string of ``stream``
-through a one-way 1 MiB pipe; the caller reads them in place of building them.
-What the child leaves unsent (no message, a short or cut one, a failed pin, an
-error, which it exits 1 on without a traceback) is replayed from the caller's
-own unstarted ``stream``, so the items and their errors are the serial ones.
-On exit the child is killed if it still runs, and reaped on every path.
+``forked(stream, count, nbytes, pixels)`` is the one fork path of the package
+and the one place that chooses serial or forked.  Where ``fork_cpus`` allows
+more than one CPU and the child would process ``MIN_SHARE`` image pixels, it
+starts a child from ``multiprocessing``'s fork context that pins itself to an
+allowed CPU other than the one the caller last ran on and sends each buffer
+(bytes or a C-contiguous array) of ``stream`` through a one-way 1 MiB pipe;
+the caller reads them in place of building them.  What the child leaves
+unsent (no message, a short or cut one, a failed pin, an error, which it exits
+1 on without a traceback) is replayed from the caller's own unstarted
+``stream``, so the items and their errors are the serial ones.  On exit the
+child is killed if it still runs, and reaped on every path.
 
 ``evaluate_miou`` splits a large dataset (``MIN_SHARE`` label pixels per
 worker) into contiguous scene slices, counts the first itself and reads each
@@ -32,11 +34,14 @@ from segadapt.losses import IGNORE_LABEL
 
 __all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou", "fork_cpus", "forked"]
 
-# Label pixels per worker at which a fork-join breaks even.  On a 2-core x86-64
-# host a fork-join cost 5 ms from a 117 MB process (the pipeline) and 14 ms
-# from a 374 MB one (the benchmark's inference over 3,000 scenes), and two
-# workers saved about 0.39 ms per 64x64 scene: 14 ms / 0.39 ms is 36 scenes, so
-# about 2**17 pixels (32 scenes of 64x64) per worker at the larger process.
+# Image pixels a forked child must process to pay for its fork-join.  On a 2-core
+# x86-64 host a fork-join cost 5 ms from a 117 MB process (the pipeline) and
+# 14 ms from a 374 MB one (the benchmark's inference over 3,000 scenes), and two
+# workers saved about 0.39 ms per 64x64 evaluation scene: 36 scenes, about 2**17
+# pixels.  A perturbed-branch producer cost 8-13 ms and saved 0.50-0.52 ms per
+# 64x64 step and 0.14-0.20 ms per 32x32 one (medians of 7 stage-one runs, from
+# 60 MB and 360 MB processes): it broke even at 16-32 and 64-128 steps, so
+# again at about 2**17 pixels.
 MIN_SHARE = 1 << 17
 
 
@@ -99,7 +104,7 @@ def fork_cpus() -> int:
 
 
 def _send(stream, reader, writer) -> None:
-    """A child's target: send each byte string of ``stream``, or exit 1 without a traceback.
+    """A child's target: send each buffer of ``stream``, or exit 1 without a traceback.
 
     Linux would wake it on the reading caller's CPU, so it pins itself away from
     the CPU the caller last ran on (field 39 of ``/proc/<pid>/stat``).  A 1 MiB
@@ -121,13 +126,14 @@ def _send(stream, reader, writer) -> None:
 
 
 @contextlib.contextmanager
-def forked(stream, count: int, nbytes: int):
-    """Yield the ``count`` byte strings of ``stream``, each ``nbytes`` long, built by a child.
+def forked(stream, count: int, nbytes: int, pixels: int):
+    """Yield the ``count`` buffers of ``stream``, each ``nbytes`` long, built by a child.
 
-    Serial (``stream`` itself) where ``fork_cpus`` allows one CPU; see the
-    module docstring for the child, the replay and the reaping.
+    Serial (``stream`` itself) where ``fork_cpus`` allows one CPU or the child's
+    ``pixels`` are fewer than ``MIN_SHARE``; see the module docstring for the
+    child, the replay and the reaping.
     """
-    if fork_cpus() < 2:
+    if fork_cpus() < 2 or pixels < MIN_SHARE:
         yield stream
         return
     fork = multiprocessing.get_context("fork")
@@ -159,15 +165,13 @@ def forked(stream, count: int, nbytes: int):
         child.join()
 
 
-def _workers(scenes) -> int:
-    """Processes to count ``scenes`` with: one per allowed CPU, each with ``MIN_SHARE`` pixels."""
-    pixels = sum(np.size(labels) for _, labels in scenes)
-    return max(1, min(fork_cpus(), pixels // MIN_SHARE, len(scenes)))
+def _pixels(scenes) -> int:
+    return sum(np.size(labels) for _, labels in scenes)
 
 
 def _counts(model, scenes, num_classes: int):
-    """A one-item stream: the int64 confusion of ``scenes`` as bytes."""
-    yield _confusion(model, scenes, num_classes).tobytes()
+    """A one-item stream: the int64 confusion of ``scenes``."""
+    yield _confusion(model, scenes, num_classes)
 
 
 def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
@@ -179,12 +183,12 @@ def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
     scenes = list(dataset)
     if not scenes:
         raise ValueError("dataset is empty: there are no scenes to evaluate")
-    workers = _workers(scenes)
+    workers = max(1, min(fork_cpus(), _pixels(scenes) // MIN_SHARE, len(scenes)))
     cuts = [len(scenes) * k // workers for k in range(workers + 1)]
     own, *parts = [scenes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with contextlib.ExitStack() as children:
         streams = [children.enter_context(forked(_counts(model, part, num_classes), 1,
-                                                 8 * num_classes * num_classes))
+                                                 8 * num_classes * num_classes, _pixels(part)))
                    for part in parts]
         total = _confusion(model, own, num_classes)
         for data in itertools.chain.from_iterable(streams):

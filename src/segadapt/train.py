@@ -14,9 +14,9 @@ step: ``_step`` is its math (the three maps, the threshold update and mask,
 stage two's mixed pair, the stage loss); ``_adaptation_loop`` draws the picks,
 decodes the perturbed branch, descends, logs each step in one place and runs
 the periodic eval.  The perturbed branch depends on the stage's pick and
-perturb streams only, so in a stage of ``MIN_STEPS`` or more a child of
-``metrics.forked`` builds it from its own copies of them; the serial case reads
-the same bytes.
+perturb streams only, so a child of ``metrics.forked`` builds it from its own
+copies of them once the stage has ``MIN_SHARE`` pixels; the serial case reads
+the same planes.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
@@ -26,7 +26,6 @@ evaluation and pseudo labels run in float64 (``PixelModel.predict_probs``).
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,21 +151,14 @@ def _picks(rng_pick, n_source, n_target, steps, stage2):
 
 
 def _perturbed_branch(cfg, target, picks, rng_perturb, dtype):
-    """Each step's perturbed target image's features in ``dtype`` as bytes."""
+    """Each step's perturbed target image's features in ``dtype``."""
     for _, t_idx, *_ in picks:
         x_star = perturb(target[t_idx][0], rng_perturb, noise=cfg.perturb_noise,
                          brightness=cfg.perturb_brightness, contrast=cfg.perturb_contrast)
         # the retired horizontal-flip coin (a flip only reorders a per-pixel classifier's
         # pixels); its draw stays so that every later noise draw and seed 0's bytes do
         rng_perturb.random()
-        yield pixel_features(x_star).astype(dtype, copy=False).tobytes()
-
-
-# Steps of a stage from which a producer pays.  On a 2-core x86-64 host one cost
-# 8-13 ms to start and join, and saved 0.50-0.52 ms per step on 64x64 scenes
-# and 0.14-0.20 ms on 32x32 ones (medians of 7 stage-one runs, from 60 MB and
-# 360 MB processes): it broke even at 16-32 steps on 64x64 and at 64-128 on 32x32.
-MIN_STEPS = 128
+        yield pixel_features(x_star).astype(dtype, copy=False)
 
 
 def mixed_pair(cfg: TrainConfig, db, source_pair, alpha, target_image, target_labels,
@@ -245,8 +237,7 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, pertur
 
     plane = feats_t[0]
     branch = _perturbed_branch(cfg, target, picks(), _rng(cfg, perturb_stream), model.dtype)
-    with (forked(branch, steps, plane.nbytes) if steps >= MIN_STEPS
-          else contextlib.nullcontext(branch)) as perturbed:
+    with forked(branch, steps, plane.nbytes, steps * plane.shape[1]) as perturbed:
         for step, (data, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
             feats_star = np.frombuffer(data, plane.dtype).reshape(plane.shape)
             mixing = None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from segadapt.losses import IGNORE_LABEL
+import segadapt.metrics as metrics_module
 from segadapt.metrics import (
     MIN_SHARE,
     confusion_matrix,
@@ -305,10 +307,41 @@ def _slow_stream():
 
 def test_a_caller_that_leaves_early_kills_the_child_still_building(two_cpus):
     start = time.monotonic()
-    with forked(_slow_stream(), 1, 8):
+    with forked(_slow_stream(), 1, 8, MIN_SHARE):
         pass
     assert time.monotonic() - start < 10.0
     assert len(two_cpus) == 1
+    _assert_no_child_left()
+
+
+def _planes(count=12):
+    """A stream of float32 (9, 32*32) planes, as the perturbed branch yields them."""
+    rng = np.random.default_rng(9)
+    for _ in range(count):
+        yield rng.random((9, 32 * 32), dtype=np.float32)
+
+
+def _cut_after(planes):
+    """A child's target that sends ``planes`` planes, then a cut one, and exits 0."""
+    send = metrics_module._send
+
+    def cut(stream, reader, writer):
+        send(itertools.islice(stream, planes), reader, writer)
+        writer.send_bytes(b"cut")
+
+    return cut
+
+
+@pytest.mark.parametrize("case", ["forked", "serial", "replayed"])
+def test_a_stream_of_float32_arrays_reads_back_as_the_serial_bytes(two_cpus, monkeypatch, case):
+    want = [plane.tobytes() for plane in _planes()]
+    if case == "replayed":
+        monkeypatch.setattr(metrics_module, "_send", _cut_after(5))
+    pixels = MIN_SHARE - 1 if case == "serial" else MIN_SHARE  # the child's pixels
+    with forked(_planes(), len(want), 9 * 32 * 32 * 4, pixels) as items:
+        got = [np.frombuffer(item, np.float32).tobytes() for item in items]
+    assert got == want
+    assert len(two_cpus) == (0 if case == "serial" else 1)
     _assert_no_child_left()
 
 

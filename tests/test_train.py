@@ -455,7 +455,7 @@ def test_step_reproduces_stage_one_first_logged_steps(small_run):
     for step, ((s_idx, t_idx), item) in enumerate(zip(picks, items)):
         (s_img, s_labels), (t_img, _) = source[s_idx], target[t_idx]
         feats_t = train_module._features(model, t_img)
-        assert len(item) == feats_t.nbytes  # the planes alone, as the loop reads them
+        assert np.asarray(item).nbytes == feats_t.nbytes  # the planes alone
         feats_star = np.frombuffer(item, feats_t.dtype).reshape(feats_t.shape)
         parts, alpha = train_module._step(
             cfg, model, state, train_module._features(model, s_img), s_labels.ravel(),
@@ -717,17 +717,31 @@ _BaseProcess = multiprocessing.process.BaseProcess
 
 
 @pytest.fixture
-def producer(monkeypatch):
-    """Allow two CPUs and a producer for a stage of any length; returns the processes started."""
+def started(monkeypatch):
+    """Allow two CPUs; returns the processes started."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(train_module, "MIN_STEPS", 1)
-    started, start = [], _BaseProcess.start
+    processes, start = [], _BaseProcess.start
 
     def counted_start(self):
-        started.append(self)
+        processes.append(self)
         start(self)
 
     monkeypatch.setattr(_BaseProcess, "start", counted_start)
+    return processes
+
+
+def _forks_from(monkeypatch, steps):
+    """Make ``steps`` the shortest SMALL stage (32x32 scenes) that forks a producer."""
+    monkeypatch.setattr(metrics_module, "MIN_SHARE", steps * 32 * 32)
+
+
+@pytest.fixture
+def producer(started, monkeypatch):
+    """``started``, with a producer for a SMALL stage of 31 steps or more.
+
+    A SMALL evaluation (30 scenes of 32x32) stays under one share, so it forks no worker.
+    """
+    _forks_from(monkeypatch, SMALL["target_scenes"] + 1)
     return started
 
 
@@ -752,7 +766,7 @@ def test_the_producer_gives_the_serial_logs_parameters_and_csvs_bit_for_bit(
     produced = run_pipeline(cfg, tmp_path / "produced")
     assert len(producer) == 2  # one per stage
     _assert_no_child_left()
-    monkeypatch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+    _forks_from(monkeypatch, cfg.stage1_steps + 1)
     serial = run_pipeline(cfg, tmp_path / "serial")
     assert len(producer) == 2
     assert _logs(produced) == _logs(serial)
@@ -774,7 +788,7 @@ def serial_stage1():
     base = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6),
                       dtype=np.float32)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+        _forks_from(patch, cfg.stage1_steps + 1)
         _, log = train_stage1(cfg, datasets=(source, target), init_model=base)
     return cfg, (source, target), base, log.metrics
 
@@ -859,7 +873,7 @@ def test_the_serial_cases_start_no_producer(producer, monkeypatch, serial_stage1
     if case == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     elif case == "short_stage":
-        monkeypatch.setattr(train_module, "MIN_STEPS", cfg.stage1_steps + 1)
+        _forks_from(monkeypatch, cfg.stage1_steps + 1)
     elif case == "no_setaffinity":
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
     release = threading.Event()
@@ -874,6 +888,19 @@ def test_the_serial_cases_start_no_producer(producer, monkeypatch, serial_stage1
             waiter.join(timeout=10.0)
     assert not waiter.is_alive()
     assert log.metrics == want
+
+
+@pytest.mark.parametrize("steps, producers", [(metrics_module.MIN_SHARE // 1024, 1),
+                                               (metrics_module.MIN_SHARE // 1024 - 1, 0)])
+def test_a_small_stage_forks_its_producer_from_min_share_pixels(started, steps, producers):
+    # at SMALL's 32x32 scenes, a stage's MIN_SHARE pixels are MIN_SHARE // 1024 steps
+    cfg = TrainConfig(**{**_FAULT_RUN, "stage1_steps": steps})
+    source, target, _ = build_datasets(cfg)
+    base = PixelModel(cfg.num_classes, cfg.hidden_units, rng=np.random.default_rng(6),
+                      dtype=np.float32)
+    _, log = train_stage1(cfg, datasets=(source, target), init_model=base)
+    assert len(log.metrics) == steps and len(started) == producers
+    _assert_no_child_left()
 
 
 def _stage1_in_a_daemon(cfg, datasets, base, pipe):
