@@ -35,13 +35,16 @@ from segadapt.losses import IGNORE_LABEL
 __all__ = ["confusion_matrix", "iou_from_confusion", "evaluate_miou", "fork_cpus", "forked"]
 
 # Image pixels a forked child must process to pay for its fork-join.  On a 2-core
-# x86-64 host a fork-join cost 5 ms from a 117 MB process (the pipeline) and
-# 14 ms from a 374 MB one (the benchmark's inference over 3,000 scenes), and two
-# workers saved about 0.39 ms per 64x64 evaluation scene: 36 scenes, about 2**17
-# pixels.  A perturbed-branch producer cost 8-13 ms and saved 0.50-0.52 ms per
-# 64x64 step and 0.14-0.20 ms per 32x32 one (medians of 7 stage-one runs, from
-# 60 MB and 360 MB processes): it broke even at 16-32 and 64-128 steps, so
-# again at about 2**17 pixels.
+# x86-64 host a fork-join cost 5-9 ms from a 92-117 MB process (the pipeline) and
+# 14-20 ms from a 372 MB one (the benchmark's inference over 3,000 scenes).  Two
+# workers saved about 0.39 ms per 64x64 evaluation scene while every label came
+# from a float64 forward (36 scenes, about 2**17 pixels, to break even), and save
+# about 0.27 ms since float32 screens them (0.58 -> 0.32 ms per scene over 3,000
+# scenes, medians of 7): about 35 scenes from the pipeline and 70 (2.9e5 pixels)
+# from the 372 MB process.  A perturbed-branch producer cost 8-13 ms and saved
+# 0.50-0.52 ms per 64x64 step and 0.14-0.20 ms per 32x32 one (medians of 7
+# stage-one runs, from 60 MB and 360 MB processes): it broke even at 16-32 and
+# 64-128 steps, so again at about 2**17 pixels.
 MIN_SHARE = 1 << 17
 
 

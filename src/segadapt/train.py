@@ -20,8 +20,10 @@ the same planes.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
-dtype.  The loss scalars are float64 (see ``segadapt.autodiff``), and
-evaluation and pseudo labels run in float64 (``PixelModel.predict_probs``).
+dtype.  The loss scalars are float64 (see ``segadapt.autodiff``).  Pseudo
+labels come from the float64 forward (``PixelModel.predict_probs``), and
+evaluation labels are the float64 labels, screened in float32
+(``PixelModel.predict_labels``).
 """
 
 from __future__ import annotations

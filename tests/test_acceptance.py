@@ -19,6 +19,7 @@ import pytest
 import segadapt
 from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig
+from segadapt.data import pixel_features
 from segadapt.gradcurves import KINDS, curve, find_global_min
 from segadapt.losses import (
     adjusted_kl_loss,
@@ -33,15 +34,18 @@ from segadapt.losses import (
     unsupervised_focal_loss,
 )
 from segadapt.mixing import boundary_weights, mix
+import segadapt.model as model_module
+from segadapt.model import _tau, save_model
 from segadapt.threshold import (
     ThresholdState,
     adaptive_mask,
+    confidence_and_argmax,
     ema_update,
     fixed_mask,
     per_sample_threshold,
     update,
 )
-from segadapt.train import run_pipeline
+from segadapt.train import build_datasets, run_pipeline
 
 from _fd import fd_gradient, rel_error
 from _netpbm import csv_by_rows
@@ -493,6 +497,93 @@ def test_supporting_pseudo_labels_beat_source_only(pipeline_run):
     source_only = pixel_accuracy(summary["baseline_model"])
     pseudo = pixel_accuracy(summary["stage1_model"])
     assert pseudo > source_only - 1e-9
+
+
+def test_supporting_screened_labels_are_the_float64_labels(pipeline_run, monkeypatch):
+    # predict_labels screens in float32 and falls back per scene to a direct float64
+    # mlp_softmax call; a screen that always fell back would fail the count
+    summary, _, _ = pipeline_run
+    source, target, _ = build_datasets(ACCEPTANCE_CONFIG)
+    images = [image for image, _ in target + source]
+    forward, fallbacks = model_module.mlp_softmax, []
+    monkeypatch.setattr(model_module, "mlp_softmax", lambda x, *params: (
+        fallbacks.append(np.asarray(x).dtype == np.float64) or forward(x, *params)))
+    for name in ("baseline_model", "stage1_model", "stage2_model"):
+        model = summary[name]
+        expected = [confidence_and_argmax(model.predict_probs(image))[1] for image in images]
+        fallbacks.clear()
+        for image, labels in zip(images, expected):
+            got = model.predict_labels(image)
+            assert got.dtype == labels.dtype and np.array_equal(got, labels), name
+        assert len(fallbacks) == len(images) + sum(fallbacks)  # one float32 forward each
+        assert sum(fallbacks) <= 0.2 * len(images), f"{name}: {sum(fallbacks)} fallbacks"
+        taus = [_tau(model.params, pixel_features(image).astype(np.float32)) for image in images]
+        assert np.all(np.isfinite(taus)) and max(taus) < 1e-2, name
+
+
+# Run in a fresh interpreter whose numeric kernels the environment picks: the
+# screened labels of a saved model against its float64 labels, and the float32
+# map against the float64 one within tau / 2, on every scene of the file.
+_KERNEL_CHECK = """
+import ctypes, glob, json, os, sys
+import numpy as np
+import numpy._core._multiarray_umath as umath
+from segadapt.autodiff import mlp_softmax
+from segadapt.data import pixel_features
+from segadapt.model import _tau, load_model
+from segadapt.threshold import confidence_and_argmax
+
+model = load_model(sys.argv[1])
+images = np.load(sys.argv[2])
+mismatched = over_bound = 0
+for image in images:
+    feats = pixel_features(image)
+    cast = feats.astype(np.float32)
+    gap = np.abs(mlp_softmax(cast, *model.params).data - mlp_softmax(feats, *model.params).data)
+    over_bound += int(not np.all(gap <= _tau(model.params, cast) / 2))
+    mismatched += int(not np.array_equal(model.predict_labels(image),
+                                         confidence_and_argmax(model.predict_probs(image))[1]))
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*.so"))
+core = None
+if libs:
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    core = corename().decode()
+levels = [d for d in umath.__cpu_dispatch__ if umath.__cpu_features__.get(d)]
+print(json.dumps({"scenes": len(images), "mismatched": mismatched, "over_bound": over_bound,
+                  "core": core, "level": levels[-1] if levels else umath.__cpu_baseline__[-1]}))
+"""
+
+
+def test_supporting_screened_labels_hold_on_other_numeric_kernels(pipeline_run, tmp_path):
+    # OpenBLAS's Haswell kernel, and numpy without its AVX2 and AVX-512 loops, round the
+    # float32 forward otherwise than this host's default kernels (ROADMAP item 16)
+    summary, _, _ = pipeline_run
+    save_model(tmp_path / "model.npz", summary["stage2_model"])
+    _, target, _ = build_datasets(ACCEPTANCE_CONFIG)
+    np.save(tmp_path / "images.npy", np.stack([image for image, _ in target[:50]]))
+    settings = {"OPENBLAS_CORETYPE": "Haswell",
+                "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4,X86_V3"}
+    src = str(Path(segadapt.__file__).resolve().parents[1])
+    children = []
+    for name, value in settings.items():
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env[name] = value
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", _KERNEL_CHECK, str(tmp_path / "model.npz"),
+             str(tmp_path / "images.npy")], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True))
+    results = [child.communicate(timeout=120) for child in children]
+    for name, child, (out, err) in zip(settings, children, results):
+        assert child.returncode == 0, f"{name}: {err}"
+        got = json.loads(out.strip().splitlines()[-1])
+        assert got["scenes"] == 50 and got["mismatched"] == 0 and got["over_bound"] == 0, got
+        if name == "OPENBLAS_CORETYPE":
+            assert got["core"] in (None, "Haswell"), got
+        else:
+            assert got["level"] not in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), got
 
 
 def test_supporting_loss_decomposition_recomposes(pipeline_run):
