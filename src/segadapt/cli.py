@@ -47,8 +47,6 @@ def _config_from(args: argparse.Namespace) -> TrainConfig:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from(args)
-    if args.count is not None:
-        cfg = dataclasses.replace(cfg, source_scenes=args.count, target_scenes=args.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target, _ = build_datasets(cfg)
@@ -149,7 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--domain", choices=("source", "target", "both"), default="both")
-    p.add_argument("--count", type=int, default=None, help="scenes per domain")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="source pretraining, stage one and stage two")

@@ -2,7 +2,9 @@
 
 Every field can be set from a line-oriented ``key = value`` text file and
 overridden by a CLI flag of the same name; precedence is
-defaults < file < flags.
+defaults < file < flags.  Both are text, read by ``make_config``, whose
+overrides must be strings (a ``TypeError`` names the key of any other);
+Python callers build ``TrainConfig`` or call ``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def _coerce(name: str, raw: str):
     if name not in _FIELDS:
         raise KeyError(f"unknown config key: {name!r}")
+    if not isinstance(raw, str):
+        raise TypeError(f"{name} must be given as text, got {raw!r}")
     raw = raw.strip()
     kind = _FIELDS[name].type
     try:
@@ -175,20 +179,15 @@ def parse_config_file(path) -> dict:
 
 
 def make_config(path=None, overrides=None) -> TrainConfig:
-    """Build a TrainConfig from defaults, an optional file, then overrides.
+    """Build a TrainConfig from defaults, an optional file, then text overrides.
 
-    Override values may be raw strings (as from CLI flags) or typed values.
+    Overrides are text, as the CLI's flags give them; a non-string value
+    raises a ``TypeError`` that names its key.  Typed values go to
+    ``TrainConfig(...)`` or ``dataclasses.replace`` instead.
     """
-    merged = {}
-    if path is not None:
-        merged.update(parse_config_file(path))
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        merged[key] = _coerce(key, value) if isinstance(value, str) else value
-    unknown = set(merged) - set(_FIELDS)
-    if unknown:
-        raise KeyError(f"unknown config keys: {sorted(unknown)}")
+    merged = parse_config_file(path) if path is not None else {}
+    for key, raw in (overrides or {}).items():
+        merged[key] = _coerce(key, raw)
     return TrainConfig(**merged)
 
 

@@ -83,30 +83,28 @@ class PixelModel:
     def predict_labels(self, image: np.ndarray) -> np.ndarray:
         """(H, W) labels of the float64 forward, by the argmax that training and pseudo labels use.
 
-        A float32 model makes one ``prob_map`` call, in float32 on the features
-        cast as training casts them, and returns that map's argmax when every
-        pixel's top-two gap exceeds ``tau`` (see the module docstring).  A scene
-        with a smaller gap, or a map or ``tau`` that is not finite, is labelled
-        from the float64 ``mlp_softmax`` of the same features, as a float64
-        model's always is.  The float32 gaps are rounded by at most 2**-24
-        relative and ``tau``'s own float64 arithmetic by far less, so the test
-        pads ``tau`` by 2**-20 relative: it rounds only towards falling back.
+        The scene's float64 features are computed once.  A float32 model makes
+        one ``prob_map`` call, in float32 on the features cast as training
+        casts them, and returns that map's argmax when every pixel's top-two
+        gap exceeds ``tau`` (see the module docstring).  A scene with a smaller
+        gap, or a map or ``tau`` that is not finite, is labelled from a second,
+        float64 ``prob_map`` of the same features, as a float64 model's always
+        is.  The float32 gaps are rounded by at most 2**-24 relative and
+        ``tau``'s own float64 arithmetic by far less, so the test pads ``tau``
+        by 2**-20 relative: it rounds only towards falling back.
         """
-        if self.dtype != np.float32:
-            return confidence_and_argmax(self.predict_probs(image))[1]
         feats = pixel_features(image)
-        with np.errstate(all="ignore"):  # an overflowing cast or a nan falls back below
-            cast = feats.astype(np.float32)
-            probs = self.prob_map(cast).data
-            top, gap = _top_and_gap(probs)
-            tau = _tau(self.params, cast)
-        if gap > tau * (1.0 + 2.0**-20):  # false for a nan
-            # each column's top entry is unique, so its one match is the argmax
-            classes = np.arange(self.num_classes, dtype=np.float32)
-            labels = (classes @ (probs == top)).astype(np.intp)
-        else:
-            labels = confidence_and_argmax(mlp_softmax(feats, *self.params))[1]
-        return labels.reshape(image.shape[1:])
+        if self.dtype == np.float32:
+            with np.errstate(all="ignore"):  # an overflowing cast or a nan falls back below
+                cast = feats.astype(np.float32)
+                probs = self.prob_map(cast).data
+                top, gap = _top_and_gap(probs)
+                tau = _tau(self.params, cast)
+            if gap > tau * (1.0 + 2.0**-20):  # false for a nan
+                # each column's top entry is unique, so its one match is the argmax
+                classes = np.arange(self.num_classes, dtype=np.float32)
+                return (classes @ (probs == top)).astype(np.intp).reshape(image.shape[1:])
+        return confidence_and_argmax(self.prob_map(feats))[1].reshape(image.shape[1:])
 
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in zip(PARAM_NAMES, self.params)}

@@ -3,7 +3,9 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines live.
 """
 
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import math
@@ -500,8 +502,8 @@ def test_supporting_pseudo_labels_beat_source_only(pipeline_run):
 
 
 def test_supporting_screened_labels_are_the_float64_labels(pipeline_run, monkeypatch):
-    # predict_labels screens in float32 and falls back per scene to a direct float64
-    # mlp_softmax call; a screen that always fell back would fail the count
+    # predict_labels screens in float32 and falls back per scene to a float64
+    # prob_map, one more mlp_softmax call; a screen that always fell back would fail the count
     summary, _, _ = pipeline_run
     source, target, _ = build_datasets(ACCEPTANCE_CONFIG)
     images = [image for image, _ in target + source]
@@ -607,12 +609,32 @@ SEED0_SHA256 = {
 }
 
 
+def _numeric_kernels() -> str:
+    """The OpenBLAS core and numpy's highest enabled dispatch target; ``unknown`` for either unread."""
+    core = level = "unknown"
+    try:
+        lib, = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_*.so"))
+        corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        core = corename().decode()
+    except (ValueError, OSError, AttributeError):
+        pass
+    try:
+        import numpy._core._multiarray_umath as umath
+        level = [d for d in umath.__cpu_dispatch__ if umath.__cpu_features__.get(d)][-1]
+    except (ImportError, AttributeError, IndexError):
+        pass
+    return f"OpenBLAS core {core}, numpy dispatch {level}"
+
+
 def test_supporting_seed0_csvs_keep_their_recorded_sha256(pipeline_run):
     _, out, _ = pipeline_run
     changed = [name for name, digest in SEED0_SHA256.items()
                if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
-    assert not changed, (f"seed-0 bytes changed in {changed}; a change that alters them "
-                         "must say why in CHANGES.md and record the new sha256 values")
+    assert not changed, (f"seed-0 bytes changed in {changed} ({_numeric_kernels()}); a change "
+                         "that alters them must say why in CHANGES.md and record the new "
+                         "sha256 values")
 
 
 def test_supporting_pipeline_csvs_keep_the_row_by_row_bytes(pipeline_run):

@@ -157,7 +157,9 @@ def test_a_saved_model_with_another_class_count_fails_naming_num_classes(tmp_pat
 
 def test_gen_data_writes_scene_files(tmp_path):
     out = tmp_path / "scenes"
-    rc = main(["gen-data", "--out", str(out), "--count", "2", *TINY])
+    # argparse keeps a flag's last value, so these counts beat TINY's
+    rc = main(["gen-data", "--out", str(out), *TINY, "--source-scenes", "2",
+               "--target-scenes", "2"])
     assert rc == 0
     names = sorted(p.name for p in out.iterdir())
     assert names == ["source_0000.ppm", "source_0000_labels.pgm",
@@ -171,12 +173,22 @@ def test_gen_data_writes_scene_files(tmp_path):
 
 @pytest.mark.parametrize("flags, field", [
     (["--cell", "4"], "cell"),
-    (["--count", "0"], "source_scenes"),  # not taken as "no --count"
+    (["--source-scenes", "0"], "source_scenes"),
 ], ids=["cell_4", "count_0"])
 def test_gen_data_rejects_a_bad_config_before_writing(tmp_path, flags, field):
     out = tmp_path / "scenes"
     with pytest.raises(ValueError, match=f"^{field} must"):
         main(["gen-data", "--out", str(out), *flags])
+    assert not out.exists()
+
+
+def test_gen_data_refuses_count_with_a_usage_error_before_writing(tmp_path, capsys):
+    # each scene count has one setter: --source-scenes and --target-scenes
+    out = tmp_path / "scenes"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", str(out), "--count", "2", *TINY])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --count 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -276,11 +288,11 @@ def test_cli_flag_overrides_config_file(tmp_path, capsys):
                         "target_scenes = 3\nseed = 5\n")
     out = tmp_path / "gen"
     rc = main(["gen-data", "--config", str(cfg_file), "--out", str(out),
-               "--count", "1", "--seed", "7", "--domain", "source"])
+               "--seed", "7", "--domain", "source"])
     assert rc == 0
     # the seed=7 flag beats seed=5 from the file: regenerate both ways
     alt = tmp_path / "gen7"
-    main(["gen-data", "--out", str(alt), "--count", "1", "--seed", "7",
+    main(["gen-data", "--out", str(alt), "--seed", "7",
           "--domain", "source", "--height", "32", "--width", "32",
           "--source-scenes", "3", "--target-scenes", "3"])
     a = (out / "source_0000.ppm").read_bytes()

@@ -184,7 +184,8 @@ def test_generate_scene_rejects_unknown_domain():
     ("color_noise", dict(color_noise=float("nan"))),
 ])
 def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
-    for build in (lambda: TrainConfig(**overrides), lambda: make_config(overrides=overrides)):
+    text = {key: repr(value) for key, value in overrides.items()}
+    for build in (lambda: TrainConfig(**overrides), lambda: make_config(overrides=text)):
         with pytest.raises(ValueError, match=f"^{field} must"):
             build()
 
@@ -196,7 +197,8 @@ def test_scene_spec_rejects_bad_config_naming_the_field(field, overrides):
 ], ids=["rare_weight_zero", "rare_weight_tiny_only_foreground", "color_noise_zero"])
 def test_scene_spec_accepts_the_edges_of_its_ranges(overrides):
     # the just-inside twins of the rejected rare_weight and color_noise rows
-    for cfg in (TrainConfig(**overrides), make_config(overrides=overrides)):
+    text = {key: repr(value) for key, value in overrides.items()}
+    for cfg in (TrainConfig(**overrides), make_config(overrides=text)):
         for domain in ("source", "target"):
             image, labels = generate_domain(cfg, domain, 1, 0)[0]
             assert np.all(np.isfinite(image)) and labels.max() < cfg.num_classes

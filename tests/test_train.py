@@ -68,6 +68,12 @@ def test_config_file_parsing(tmp_path):
     assert cfg.gamma == 0.5
 
 
+def test_make_config_refuses_a_typed_override_naming_the_key():
+    # overrides are text, as flags give them; typed values go to TrainConfig or replace
+    with pytest.raises(TypeError, match=r"^gamma must be given as text, got 0\.5$"):
+        make_config(overrides={"gamma": 0.5})
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("seed = 3\nnot_a_field = 1\n")
