@@ -7,7 +7,9 @@ source-pretrained weights, keeps the stage-one model frozen as pseudo-labeler,
 and adds the weighted cross entropy on cross-domain mixed samples.
 
 All randomness is drawn from named substreams of the config seed, so a full
-run is reproducible bit for bit, including the CSV logs.
+run is reproducible bit for bit, including the CSV logs.  ``run_pipeline``
+writes ``config.txt`` first and then each phase's CSVs as that phase is
+evaluated, so a run that diverges keeps the files of the phases it finished.
 
 Every phase takes one checked SGD step, ``_descend``.  Both stages repeat one
 step: ``_step`` is its math (the three maps, the threshold update and mask,
@@ -276,53 +278,43 @@ def write_iou_csv(path, iou: np.ndarray, miou: float) -> None:
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
     """Source-only baseline, stage one, stage two, with full evaluation.
 
-    Returns a summary dict; when ``out_dir`` is given, writes the metrics,
-    threshold, and IoU CSVs there (deterministic bytes under a fixed seed),
-    the periodic evaluations when ``eval_every > 0``, and ``config.txt``,
-    the config in the format ``make_config`` reads.
+    Returns a summary dict.  When ``out_dir`` is given, ``config.txt`` (the
+    config in the format ``make_config`` reads) is written there first, and
+    each phase's files as soon as that phase has been evaluated: its IoU CSV,
+    and for a stage its metrics and threshold CSVs, plus its periodic
+    evaluations when ``eval_every > 0``.  The bytes are deterministic under a
+    fixed seed, and a run that raises keeps the files of the phases it finished.
     """
-    source, target, _ = build_datasets(cfg)
-    datasets = (source, target)
-
-    baseline = pretrain_source(cfg, source)
-    base_iou, base_miou = evaluate_miou(baseline, target, cfg.num_classes)
-    _, base_src_miou = evaluate_miou(baseline, source, cfg.num_classes)
-
-    stage1_model, log1 = train_stage1(cfg, datasets=datasets, init_model=baseline)
-    s1_iou, s1_miou = evaluate_miou(stage1_model, target, cfg.num_classes)
-    _, s1_src_miou = evaluate_miou(stage1_model, source, cfg.num_classes)
-
-    stage2_model, log2 = train_stage2(cfg, stage1_model, datasets=datasets,
-                                      source_model=baseline)
-    s2_iou, s2_miou = evaluate_miou(stage2_model, target, cfg.num_classes)
-
-    if out_dir is not None:
-        out = Path(out_dir)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
-        write_metrics_csv(out / "stage1_metrics.csv", log1.metrics)
-        write_thresholds_csv(out / "stage1_thresholds.csv", log1.thresholds)
-        write_iou_csv(out / "stage1_ious.csv", s1_iou, s1_miou)
-        write_metrics_csv(out / "stage2_metrics.csv", log2.metrics)
-        write_thresholds_csv(out / "stage2_thresholds.csv", log2.thresholds)
-        write_iou_csv(out / "stage2_ious.csv", s2_iou, s2_miou)
-        write_iou_csv(out / "baseline_ious.csv", base_iou, base_miou)
-        if cfg.eval_every > 0:
-            write_csv(out / "stage1_evals.csv", "step,target_miou", zip(*log1.evals))
-            write_csv(out / "stage2_evals.csv", "step,target_miou", zip(*log2.evals))
+    source, target, _ = build_datasets(cfg)
+    datasets = (source, target)
+    summary = {}
 
-    return {
-        "baseline_model": baseline,
-        "stage1_model": stage1_model,
-        "stage2_model": stage2_model,
-        "stage1_log": log1,
-        "stage2_log": log2,
-        "baseline_target_miou": base_miou,
-        "baseline_target_iou": base_iou,
-        "baseline_source_miou": base_src_miou,
-        "stage1_target_miou": s1_miou,
-        "stage1_target_iou": s1_iou,
-        "stage1_source_miou": s1_src_miou,
-        "stage2_target_miou": s2_miou,
-        "stage2_target_iou": s2_iou,
-    }
+    def finish(run, model, log=None, source_miou=True):
+        """Evaluate phase ``run``'s model, add its summary keys and write its files."""
+        iou, miou = evaluate_miou(model, target, cfg.num_classes)
+        summary.update({f"{run}_model": model, f"{run}_target_miou": miou,
+                        f"{run}_target_iou": iou})
+        if source_miou:
+            summary[f"{run}_source_miou"] = evaluate_miou(model, source, cfg.num_classes)[1]
+        if log is not None:
+            summary[f"{run}_log"] = log
+        if out is None:
+            return
+        write_iou_csv(out / f"{run}_ious.csv", iou, miou)
+        if log is not None:
+            write_metrics_csv(out / f"{run}_metrics.csv", log.metrics)
+            write_thresholds_csv(out / f"{run}_thresholds.csv", log.thresholds)
+            if cfg.eval_every > 0:
+                write_csv(out / f"{run}_evals.csv", "step,target_miou", zip(*log.evals))
+
+    baseline = pretrain_source(cfg, source)
+    finish("baseline", baseline)
+    stage1_model, log1 = train_stage1(cfg, datasets=datasets, init_model=baseline)
+    finish("stage1", stage1_model, log1)
+    finish("stage2", *train_stage2(cfg, stage1_model, datasets=datasets, source_model=baseline),
+           source_miou=False)
+    return summary

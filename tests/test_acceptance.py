@@ -3,9 +3,7 @@
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the lines live.
 """
 
-import ctypes
 import dataclasses
-import glob
 import hashlib
 import json
 import math
@@ -50,6 +48,7 @@ from segadapt.threshold import (
 from segadapt.train import build_datasets, run_pipeline
 
 from _fd import fd_gradient, rel_error
+from _kernels import numeric_kernels
 from _netpbm import csv_by_rows
 
 
@@ -527,9 +526,9 @@ def test_supporting_screened_labels_are_the_float64_labels(pipeline_run, monkeyp
 # screened labels of a saved model against its float64 labels, and the float32
 # map against the float64 one within tau / 2, on every scene of the file.
 _KERNEL_CHECK = """
-import ctypes, glob, json, os, sys
+import json, sys
 import numpy as np
-import numpy._core._multiarray_umath as umath
+from _kernels import numeric_kernels
 from segadapt.autodiff import mlp_softmax
 from segadapt.data import pixel_features
 from segadapt.model import _tau, load_model
@@ -545,16 +544,9 @@ for image in images:
     over_bound += int(not np.all(gap <= _tau(model.params, cast) / 2))
     mismatched += int(not np.array_equal(model.predict_labels(image),
                                          confidence_and_argmax(model.predict_probs(image))[1]))
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                              "libscipy_openblas*.so"))
-core = None
-if libs:
-    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    corename.argtypes, corename.restype = [], ctypes.c_char_p
-    core = corename().decode()
-levels = [d for d in umath.__cpu_dispatch__ if umath.__cpu_features__.get(d)]
+core, level = numeric_kernels()
 print(json.dumps({"scenes": len(images), "mismatched": mismatched, "over_bound": over_bound,
-                  "core": core, "level": levels[-1] if levels else umath.__cpu_baseline__[-1]}))
+                  "core": core, "level": level}))
 """
 
 
@@ -567,12 +559,13 @@ def test_supporting_screened_labels_hold_on_other_numeric_kernels(pipeline_run, 
     np.save(tmp_path / "images.npy", np.stack([image for image, _ in target[:50]]))
     settings = {"OPENBLAS_CORETYPE": "Haswell",
                 "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR,AVX512_ICL,X86_V4,X86_V3"}
-    src = str(Path(segadapt.__file__).resolve().parents[1])
+    # src for segadapt, tests/ for the shared kernel reader
+    paths = [str(Path(segadapt.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     children = []
     for name, value in settings.items():
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env[name] = value
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
         children.append(subprocess.Popen(
             [sys.executable, "-c", _KERNEL_CHECK, str(tmp_path / "model.npz"),
              str(tmp_path / "images.npy")], env=env, stdout=subprocess.PIPE,
@@ -583,7 +576,7 @@ def test_supporting_screened_labels_hold_on_other_numeric_kernels(pipeline_run, 
         got = json.loads(out.strip().splitlines()[-1])
         assert got["scenes"] == 50 and got["mismatched"] == 0 and got["over_bound"] == 0, got
         if name == "OPENBLAS_CORETYPE":
-            assert got["core"] in (None, "Haswell"), got
+            assert got["core"] in ("unknown", "Haswell"), got
         else:
             assert got["level"] not in ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"), got
 
@@ -609,32 +602,13 @@ SEED0_SHA256 = {
 }
 
 
-def _numeric_kernels() -> str:
-    """The OpenBLAS core and numpy's highest enabled dispatch target; ``unknown`` for either unread."""
-    core = level = "unknown"
-    try:
-        lib, = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                      "libscipy_openblas64_*.so"))
-        corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        core = corename().decode()
-    except (ValueError, OSError, AttributeError):
-        pass
-    try:
-        import numpy._core._multiarray_umath as umath
-        level = [d for d in umath.__cpu_dispatch__ if umath.__cpu_features__.get(d)][-1]
-    except (ImportError, AttributeError, IndexError):
-        pass
-    return f"OpenBLAS core {core}, numpy dispatch {level}"
-
-
 def test_supporting_seed0_csvs_keep_their_recorded_sha256(pipeline_run):
     _, out, _ = pipeline_run
     changed = [name for name, digest in SEED0_SHA256.items()
                if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest]
-    assert not changed, (f"seed-0 bytes changed in {changed} ({_numeric_kernels()}); a change "
-                         "that alters them must say why in CHANGES.md and record the new "
-                         "sha256 values")
+    assert not changed, ("seed-0 bytes changed in {} (OpenBLAS core {}, numpy dispatch {}); "
+                         "a change that alters them must say why in CHANGES.md and record "
+                         "the new sha256 values".format(changed, *numeric_kernels()))
 
 
 def test_supporting_pipeline_csvs_keep_the_row_by_row_bytes(pipeline_run):

@@ -668,14 +668,31 @@ def test_non_finite_gradient_of_finite_loss_names_its_step(monkeypatch):
         train_stage1(cfg, datasets=(source, target), init_model=base)
 
 
+# the files a run keeps when the phase after them diverges, with eval_every = 1
+_FINISHED = {"pretraining": ["config.txt"],
+             "stage1": ["baseline_ious.csv", "config.txt"],
+             "stage2": ["baseline_ious.csv", "config.txt", "stage1_evals.csv", "stage1_ious.csv",
+                        "stage1_metrics.csv", "stage1_thresholds.csv"]}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+@pytest.mark.parametrize("stage", _FINISHED)
 def test_a_rate_that_overflows_the_update_names_its_stage_and_step(tmp_path, stage):
     # float32(1.8e308) is inf: the first step writes inf and nan parameters, which
     # stage two's long-tail paste met as numpy's "Probabilities contain NaN"
-    cfg = TrainConfig(**{**_TINY_RUN, f"{stage}_lr": _MAX})
+    finished = TrainConfig(**{**_TINY_RUN, "eval_every": 1})
+    rate = "learning_rate" if stage == "pretraining" else f"{stage}_lr"
+    cfg = dataclasses.replace(finished, **{rate: _MAX})
     with pytest.raises(TrainingDiverged, match=rf"^non-finite {stage} update of w1 at step 0$"):
-        run_pipeline(cfg, tmp_path)
+        run_pipeline(cfg, tmp_path / "diverged")
+    # the phases before the diverged one kept their files, with a successful run's bytes
+    run_pipeline(finished, tmp_path / "finished")
+    out = tmp_path / "diverged"
+    assert sorted(p.name for p in out.iterdir()) == _FINISHED[stage]
+    for name in _FINISHED[stage]:
+        if name.endswith(".csv"):
+            assert (out / name).read_bytes() == (tmp_path / "finished" / name).read_bytes(), name
+    assert make_config(out / "config.txt") == cfg
 
 
 def test_pipeline_outputs_and_determinism(tmp_path):
