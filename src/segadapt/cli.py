@@ -2,10 +2,10 @@
 
 Subcommands: ``gen-data``, ``train``, ``eval``, ``mix-preview``,
 ``gradcurves``.  ``train`` runs :func:`segadapt.train.run_pipeline` (source
-pretraining, stage one, stage two) and saves the three models next to its
-CSVs.  All but ``gradcurves`` read a line-oriented ``key = value`` config
-file; every TrainConfig field is also exposed as a ``--field-name`` flag that
-overrides the file.
+pretraining, stage one, stage two), which writes each phase's model and CSVs
+into the run directory as that phase ends.  All but ``gradcurves`` read a
+line-oriented ``key = value`` config file; every TrainConfig field is also
+exposed as a ``--field-name`` flag that overrides the file.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from segadapt.gradcurves import (GRID_POINTS, KINDS, REFERENCE_FOCAL_MIN, curve,
                                  find_global_min)
 from segadapt.metrics import evaluate_miou
 from segadapt.mixing import build_category_db, pseudo_labels
-from segadapt.model import PixelModel, load_model, save_model
+from segadapt.model import PixelModel, load_model
 from segadapt.netpbm import write_pgm, write_ppm
 from segadapt.threshold import ThresholdState
 from segadapt.train import build_datasets, mixed_pair, run_pipeline, write_iou_csv
@@ -64,9 +64,6 @@ def _cmd_train(args) -> int:
     cfg = _config_from(args)
     out = Path(args.out)
     summary = run_pipeline(cfg, out)
-    for stage, key in (("source", "baseline_model"), ("stage1", "stage1_model"),
-                       ("stage2", "stage2_model")):
-        save_model(out / f"{stage}_model.npz", summary[key])
     print(f"source-only target mIoU: {summary['baseline_target_miou']:.4f}")
     print(f"stage-one target mIoU: {summary['stage1_target_miou']:.4f}")
     print(f"stage-two target mIoU: {summary['stage2_target_miou']:.4f}")

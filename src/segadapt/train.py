@@ -7,9 +7,11 @@ source-pretrained weights, keeps the stage-one model frozen as pseudo-labeler,
 and adds the weighted cross entropy on cross-domain mixed samples.
 
 All randomness is drawn from named substreams of the config seed, so a full
-run is reproducible bit for bit, including the CSV logs.  ``run_pipeline``
-writes ``config.txt`` first and then each phase's CSVs as that phase is
-evaluated, so a run that diverges keeps the files of the phases it finished.
+run is reproducible bit for bit, including the CSV logs and saved models.
+``run_pipeline`` is the one writer of a run directory: it writes ``config.txt``
+first and then each phase's model and CSVs as that phase ends, so a run that
+diverges keeps the files of the phases it finished beside a ``failed.txt``
+that says where it stopped.
 
 Every phase takes one checked SGD step, ``_descend``.  Both stages repeat one
 step: ``_step`` is its math (the three maps, the threshold update and mask,
@@ -40,7 +42,7 @@ from segadapt.data import generate_domain, perturb, pixel_features
 from segadapt.losses import StageLosses, stage1_loss, stage2_loss, supervised_ce_loss
 from segadapt.metrics import evaluate_miou, forked
 from segadapt.mixing import build_category_db, long_tail_paste, make_mix_mask, mix, pseudo_labels
-from segadapt.model import PARAM_NAMES, PixelModel
+from segadapt.model import PARAM_NAMES, PixelModel, save_model
 from segadapt.netpbm import write_csv
 from segadapt.threshold import ThresholdState, adaptive_mask, confidence_and_argmax, update
 
@@ -72,7 +74,14 @@ _STREAM_MIX = 9
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a training step produces a non-finite loss or gradient."""
+    """Raised when a training step produces a non-finite loss, gradient or update.
+
+    ``step`` is the step that diverged, None when the raiser names none.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass
@@ -113,16 +122,17 @@ def _descend(model: PixelModel, parts: StageLosses, lr: float, step: int, stage:
               for name, part in (("l_s", parts.l_s), ("l_u", parts.l_u), ("l_m", parts.l_m))}
     total = parts.total.item()
     if not np.isfinite(total):
-        raise TrainingDiverged(f"non-finite {stage} loss at step {step}: {detail}")
+        raise TrainingDiverged(f"non-finite {stage} loss at step {step}: {detail}", step)
     parts.total.backward()
     for name, p in zip(PARAM_NAMES, model.params):
         if not np.all(np.isfinite(p.grad)):
-            raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}")
+            raise TrainingDiverged(f"non-finite {stage} gradient of {name} at step {step}",
+                                   step)
     for name, p in zip(PARAM_NAMES, model.params):
         p.data = p.data - p.data.dtype.type(lr) * p.grad
         p.zero_grad()
         if not np.all(np.isfinite(p.data)):
-            raise TrainingDiverged(f"non-finite {stage} update of {name} at step {step}")
+            raise TrainingDiverged(f"non-finite {stage} update of {name} at step {step}", step)
     return (step, *(0.0 if v is None else v for v in detail.values()), total)
 
 
@@ -275,26 +285,42 @@ def write_iou_csv(path, iou: np.ndarray, miou: float) -> None:
     write_csv(path, "class_id,iou", [[*range(len(iou)), "mean"], [*iou, miou]])
 
 
+# the names run_pipeline writes into a run directory besides config.txt; a run removes
+# them there before it starts, so one directory never mixes two runs
+_RUN_FILES = ("failed.txt", "baseline_model.npz", "baseline_ious.csv",
+              *(f"{stage}_{kind}" for stage in ("stage1", "stage2") for kind in
+                ("model.npz", "ious.csv", "metrics.csv", "thresholds.csv", "evals.csv")))
+
+
 def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
     """Source-only baseline, stage one, stage two, with full evaluation.
 
-    Returns a summary dict.  When ``out_dir`` is given, ``config.txt`` (the
-    config in the format ``make_config`` reads) is written there first, and
-    each phase's files as soon as that phase has been evaluated: its IoU CSV,
-    and for a stage its metrics and threshold CSVs, plus its periodic
-    evaluations when ``eval_every > 0``.  The bytes are deterministic under a
-    fixed seed, and a run that raises keeps the files of the phases it finished.
+    Returns a summary dict.  When ``out_dir`` is given, the files an earlier
+    run left there under this function's own names are removed, and
+    ``config.txt`` (the config in the format ``make_config`` reads) is written
+    first.  As each phase (``baseline``, ``stage1``, ``stage2``) ends, its
+    model is saved as ``<phase>_model.npz`` and, once evaluated, its IoU CSV
+    is written, and for a stage its metrics and threshold CSVs, plus its
+    periodic evaluations when ``eval_every > 0``.  The bytes are
+    deterministic under a fixed seed.  A run that raises keeps the files of
+    the phases it finished; on ``TrainingDiverged`` it also writes
+    ``failed.txt``, which names the phase, the step (when the error names
+    one) and the message, and then re-raises.
     """
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        for name in _RUN_FILES:
+            (out / name).unlink(missing_ok=True)
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
     source, target, _ = build_datasets(cfg)
     datasets = (source, target)
     summary = {}
 
     def finish(run, model, log=None, source_miou=True):
-        """Evaluate phase ``run``'s model, add its summary keys and write its files."""
+        """Save phase ``run``'s model, evaluate it, add its summary keys and write its CSVs."""
+        if out is not None:
+            save_model(out / f"{run}_model.npz", model)
         iou, miou = evaluate_miou(model, target, cfg.num_classes)
         summary.update({f"{run}_model": model, f"{run}_target_miou": miou,
                         f"{run}_target_iou": iou})
@@ -311,10 +337,19 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
             if cfg.eval_every > 0:
                 write_csv(out / f"{run}_evals.csv", "step,target_miou", zip(*log.evals))
 
-    baseline = pretrain_source(cfg, source)
-    finish("baseline", baseline)
-    stage1_model, log1 = train_stage1(cfg, datasets=datasets, init_model=baseline)
-    finish("stage1", stage1_model, log1)
-    finish("stage2", *train_stage2(cfg, stage1_model, datasets=datasets, source_model=baseline),
-           source_miou=False)
+    try:
+        baseline = pretrain_source(cfg, source)
+        finish("baseline", baseline)
+        stage1_model, log1 = train_stage1(cfg, datasets=datasets, init_model=baseline)
+        finish("stage1", stage1_model, log1)
+        finish("stage2", *train_stage2(cfg, stage1_model, datasets=datasets,
+                                       source_model=baseline), source_miou=False)
+    except TrainingDiverged as err:
+        if out is not None:
+            phase = next(run for run in ("baseline", "stage1", "stage2")
+                         if f"{run}_model" not in summary)
+            step = "" if err.step is None else f"step = {err.step}\n"
+            (out / "failed.txt").write_text(f"phase = {phase}\n{step}message = {err}\n",
+                                            encoding="utf-8")
+        raise
     return summary

@@ -256,7 +256,7 @@ def test_training_cli_end_to_end(tmp_path, capsys):
     run_dir = tmp_path / "run"
     rc = main(["train", "--out", str(run_dir), *TINY])
     assert rc == 0
-    for name in ("source_model.npz", "stage1_model.npz", "stage2_model.npz",
+    for name in ("baseline_model.npz", "stage1_model.npz", "stage2_model.npz",
                  "baseline_ious.csv", "stage1_metrics.csv", "stage1_thresholds.csv",
                  "stage1_ious.csv", "stage2_metrics.csv", "stage2_thresholds.csv",
                  "stage2_ious.csv", "config.txt"):
@@ -269,17 +269,15 @@ def test_training_cli_end_to_end(tmp_path, capsys):
     for stage in ("source-only", "stage-one", "stage-two"):
         assert f"{stage} target mIoU:" in printed
 
-    rc = main(["eval", "--model", str(run_dir / "stage2_model.npz"),
-               "--out", str(tmp_path / "ious.csv"), *TINY])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "mIoU:" in printed
-    with open(tmp_path / "ious.csv") as fh:
-        lines = fh.read().strip().splitlines()
-    assert lines[0] == "class_id,iou"
-    assert lines[-1].startswith("mean,")
-    # the saved stage-two model scores what the run's own IoU file says
-    assert lines == (run_dir / "stage2_ious.csv").read_text().strip().splitlines()
+    # the run directory reproduces its own evaluation: each saved model, under the saved
+    # config, rewrites its phase's target IoU file byte for byte
+    for phase in ("baseline", "stage1", "stage2"):
+        ious = tmp_path / f"{phase}_ious.csv"
+        rc = main(["eval", "--config", str(run_dir / "config.txt"),
+                   "--model", str(run_dir / f"{phase}_model.npz"), "--out", str(ious)])
+        assert rc == 0
+        assert "mIoU:" in capsys.readouterr().out
+        assert ious.read_bytes() == (run_dir / f"{phase}_ious.csv").read_bytes(), phase
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):

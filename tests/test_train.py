@@ -26,7 +26,7 @@ from segadapt.losses import (
 )
 import segadapt.metrics as metrics_module
 from segadapt.metrics import evaluate_miou
-from segadapt.model import PixelModel, load_model, save_model
+from segadapt.model import PARAM_NAMES, PixelModel, load_model, save_model
 from segadapt.threshold import adaptive_mask, confidence_and_argmax, fixed_mask
 import segadapt.train as train_module
 from segadapt.train import (
@@ -668,11 +668,22 @@ def test_non_finite_gradient_of_finite_loss_names_its_step(monkeypatch):
         train_stage1(cfg, datasets=(source, target), init_model=base)
 
 
-# the files a run keeps when the phase after them diverges, with eval_every = 1
-_FINISHED = {"pretraining": ["config.txt"],
-             "stage1": ["baseline_ious.csv", "config.txt"],
-             "stage2": ["baseline_ious.csv", "config.txt", "stage1_evals.csv", "stage1_ious.csv",
-                        "stage1_metrics.csv", "stage1_thresholds.csv"]}
+# the files a run keeps when the phase after them diverges, with eval_every = 1, and
+# the phase that failed.txt names
+_FINISHED = {"pretraining": ("baseline", ["config.txt", "failed.txt"]),
+             "stage1": ("stage1", ["baseline_ious.csv", "baseline_model.npz", "config.txt",
+                                   "failed.txt"]),
+             "stage2": ("stage2", ["baseline_ious.csv", "baseline_model.npz", "config.txt",
+                                   "failed.txt", "stage1_evals.csv", "stage1_ious.csv",
+                                   "stage1_metrics.csv", "stage1_model.npz",
+                                   "stage1_thresholds.csv"])}
+
+
+def _assert_same_model(a: PixelModel, b: PixelModel, label: str) -> None:
+    """Equal array for array, in the same dtype."""
+    assert a.dtype == b.dtype, label
+    for name, x, y in zip(PARAM_NAMES, a.params, b.params):
+        np.testing.assert_array_equal(x.data, y.data, err_msg=f"{label}: {name}")
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -683,23 +694,55 @@ def test_a_rate_that_overflows_the_update_names_its_stage_and_step(tmp_path, sta
     finished = TrainConfig(**{**_TINY_RUN, "eval_every": 1})
     rate = "learning_rate" if stage == "pretraining" else f"{stage}_lr"
     cfg = dataclasses.replace(finished, **{rate: _MAX})
-    with pytest.raises(TrainingDiverged, match=rf"^non-finite {stage} update of w1 at step 0$"):
+    message = f"non-finite {stage} update of w1 at step 0"
+    with pytest.raises(TrainingDiverged, match=rf"^{message}$"):
         run_pipeline(cfg, tmp_path / "diverged")
     # the phases before the diverged one kept their files, with a successful run's bytes
     run_pipeline(finished, tmp_path / "finished")
     out = tmp_path / "diverged"
-    assert sorted(p.name for p in out.iterdir()) == _FINISHED[stage]
-    for name in _FINISHED[stage]:
+    phase, names = _FINISHED[stage]
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
         if name.endswith(".csv"):
             assert (out / name).read_bytes() == (tmp_path / "finished" / name).read_bytes(), name
+        elif name.endswith(".npz"):
+            _assert_same_model(load_model(out / name),
+                               load_model(tmp_path / "finished" / name), name)
     assert make_config(out / "config.txt") == cfg
+    assert (out / "failed.txt").read_text(encoding="utf-8") == (
+        f"phase = {phase}\nstep = 0\nmessage = {message}\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_removes_only_the_files_an_earlier_run_wrote(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    # names run_pipeline never writes, one of them beside its own prefixes
+    kept = {"notes.txt": b"mine", "stage2_notes.csv": b"mine too"}
+    for name, data in kept.items():
+        (out / name).write_bytes(data)
+    finished = TrainConfig(**{**_TINY_RUN, "eval_every": 1})
+    run_pipeline(finished, out)
+    assert (out / "stage2_model.npz").exists() and (out / "stage2_evals.csv").exists()
+    # a run that diverges in stage one leaves nothing of the earlier run's later phases
+    with pytest.raises(TrainingDiverged):
+        run_pipeline(dataclasses.replace(finished, stage1_lr=_MAX), out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["baseline_ious.csv", "baseline_model.npz", "config.txt", "failed.txt", *kept])
+    # a successful rerun leaves no failed.txt behind
+    run_pipeline(finished, out)
+    assert not (out / "failed.txt").exists()
+    assert (out / "stage2_model.npz").exists()
+    for name, data in kept.items():
+        assert (out / name).read_bytes() == data, name
+    assert make_config(out / "config.txt") == finished
 
 
 def test_pipeline_outputs_and_determinism(tmp_path):
     cfg = TrainConfig(**{**SMALL, "pretrain_steps": 60, "stage1_steps": 80,
                          "stage2_steps": 80, "source_scenes": 10, "target_scenes": 10})
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-    run_pipeline(cfg, out_dir=a_dir)
+    summary = run_pipeline(cfg, out_dir=a_dir)
     run_pipeline(cfg, out_dir=b_dir)
     files = sorted(p.name for p in a_dir.iterdir())
     assert "stage1_metrics.csv" in files and "stage2_metrics.csv" in files
@@ -707,6 +750,9 @@ def test_pipeline_outputs_and_determinism(tmp_path):
     for name in files:
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
     assert make_config(a_dir / "config.txt") == cfg
+    # each phase's saved model is the one the summary returns
+    for run in ("baseline", "stage1", "stage2"):
+        _assert_same_model(load_model(a_dir / f"{run}_model.npz"), summary[f"{run}_model"], run)
 
 
 @pytest.mark.parametrize("eval_every, steps", [(0, None), (1, [0, 1, 2]), (2, [1]), (4, [])])
