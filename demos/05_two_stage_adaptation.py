@@ -9,6 +9,8 @@ frozen stage-one model providing pseudo labels.  The full-size experiment
 lives in tests/test_acceptance.py.
 """
 
+import tempfile
+
 import numpy as np
 
 from segadapt import TrainConfig, run_pipeline
@@ -18,7 +20,8 @@ cfg = TrainConfig(
     pretrain_steps=250, stage1_steps=700, stage2_steps=700,
     eval_every=0,
 )
-summary = run_pipeline(cfg)
+with tempfile.TemporaryDirectory() as run_dir:  # the run's models and CSVs, not kept
+    summary = run_pipeline(cfg, run_dir)
 
 rows = [
     ("source-only baseline", summary["baseline_target_miou"],

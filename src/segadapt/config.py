@@ -53,7 +53,6 @@ class TrainConfig:
     gamma: float = 2.0
     lambda_u: float = 0.05
     lambda_m: float = 1.0
-    epsilon: float = 1e-8
     # dynamic threshold parameters
     threshold_a: float = 0.9
     threshold_b: float = 0.8
@@ -123,7 +122,6 @@ class TrainConfig:
         # a brightness offset above 1 pushes every pixel past the clip
         for name in ("perturb_brightness", "perturb_contrast"):
             yield name, 0.0 <= getattr(self, name) <= 1.0, "lie in [0, 1]"
-        yield "epsilon", 0.0 < self.epsilon < 1.0, "lie in (0, 1)"
         for name in ("gamma", "lambda_u", "lambda_m"):
             value = getattr(self, name)
             yield name, math.isfinite(value) and value >= 0.0, "be finite and >= 0"

@@ -49,6 +49,8 @@ REFERENCE_FOCAL_MIN = 0.67
 GRID_POINTS = 1999
 GRID_LO = 0.0005
 GRID_HI = 0.9995
+# find_global_min's golden-section search stops once its bracket is this narrow
+TOL = 1e-4
 
 
 @dataclass
@@ -103,12 +105,10 @@ def curve(kind: str, p_hat: float = 0.6, gamma: float = 2.0,
     return Curve(kind=kind, p_hat=p_hat, gamma=gamma, p=ps, loss=loss, grad=leaf.grad[0])
 
 
-def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
+def find_global_min(curve_obj: Curve) -> float:
     """Grid argmin refined by golden-section search between its neighbors, on loss values only."""
     if not curve_obj.p.size:
         raise ValueError("curve is empty")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     ps = curve_obj.p
     i = int(np.argmin(curve_obj.loss))
     lo = float(ps[max(i - 1, 0)])
@@ -123,9 +123,7 @@ def find_global_min(curve_obj: Curve, tol: float = 1e-4) -> float:
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = value(c), value(d)
-    width = math.inf
-    while tol < b - a < width:  # a tol below the float spacing stops once [a, b] stalls
-        width = b - a
+    while b - a > TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

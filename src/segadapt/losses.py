@@ -268,8 +268,8 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = EPSILON) -> Tenso
 def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,
                 cfg: TrainConfig) -> StageLosses:
     """Source cross entropy plus ``lambda_u`` times the unsupervised focal loss."""
-    l_s = supervised_ce_loss(p_s, y_s, cfg.epsilon)
-    l_u = unsupervised_focal_loss(p_hat_t, p_star_t, target_mask, cfg.gamma, cfg.epsilon)
+    l_s = supervised_ce_loss(p_s, y_s)
+    l_u = unsupervised_focal_loss(p_hat_t, p_star_t, target_mask, cfg.gamma)
     total = l_s + cfg.lambda_u * l_u
     return StageLosses(total=total, l_s=l_s, l_u=l_u)
 
@@ -278,6 +278,6 @@ def stage2_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask
                 p_m: Tensor, y_m, w_m, cfg: TrainConfig) -> StageLosses:
     """Stage-one composite plus ``lambda_m`` times the weighted mixed-pair cross entropy."""
     stage1 = stage1_loss(p_s, y_s, p_hat_t, p_star_t, target_mask, cfg)
-    l_m = mixed_ce_loss(p_m, y_m, w_m, cfg.epsilon)
+    l_m = mixed_ce_loss(p_m, y_m, w_m)
     return StageLosses(total=stage1.total + cfg.lambda_m * l_m, l_s=stage1.l_s,
                        l_u=stage1.l_u, l_m=l_m)

@@ -1,19 +1,20 @@
 """Segmentation evaluation: per-class intersection-over-union and its mean.
 
-``forked(stream, count, nbytes, pixels)`` is the one fork path of the package
-and the one place that chooses serial or forked.  Where ``fork_cpus`` allows
-more than one CPU and the child would process ``MIN_SHARE`` image pixels, it
-starts a child from ``multiprocessing``'s fork context that pins itself to an
-allowed CPU other than the one the caller last ran on and sends each buffer
-(bytes or a C-contiguous array) of ``stream`` through a one-way 1 MiB pipe;
-the caller reads them in place of building them.  What the child leaves
+``forked(stream, count, like, pixels)`` is the one fork path of the package
+and the one place that chooses serial or forked.  ``stream`` yields arrays
+with the dtype and shape of the example array ``like``.  Where ``fork_cpus``
+allows more than one CPU and the child would process ``MIN_SHARE`` image
+pixels, it starts a child from ``multiprocessing``'s fork context that pins
+itself to an allowed CPU other than the one the caller last ran on and sends
+each array's bytes through a one-way 1 MiB pipe; the caller reads them back
+as arrays like ``like`` in place of building them.  What the child leaves
 unsent (no message, a short or cut one, a failed pin, an error, which it exits
 1 on without a traceback) is replayed from the caller's own unstarted
 ``stream``, so the items and their errors are the serial ones.  On exit the
 child is killed if it still runs, and reaped on every path.
 
 ``evaluate_miou`` splits a large dataset (``MIN_SHARE`` label pixels per
-worker) into contiguous scene slices, counts the first itself and reads each
+worker) into contiguous scene slices, counts the first itself and adds each
 other one's int64 matrix from a ``forked`` one-item stream.  Counts are
 integers, so the sum is the serial matrix and the IoU bytes are the serial
 ones.  A traced benchmark run sees the caller's spans only.
@@ -107,7 +108,7 @@ def fork_cpus() -> int:
 
 
 def _send(stream, reader, writer) -> None:
-    """A child's target: send each buffer of ``stream``, or exit 1 without a traceback.
+    """A child's target: send each array of ``stream``, or exit 1 without a traceback.
 
     Linux would wake it on the reading caller's CPU, so it pins itself away from
     the CPU the caller last ran on (field 39 of ``/proc/<pid>/stat``).  A 1 MiB
@@ -129,8 +130,8 @@ def _send(stream, reader, writer) -> None:
 
 
 @contextlib.contextmanager
-def forked(stream, count: int, nbytes: int, pixels: int):
-    """Yield the ``count`` buffers of ``stream``, each ``nbytes`` long, built by a child.
+def forked(stream, count: int, like: np.ndarray, pixels: int):
+    """Yield the ``count`` arrays of ``stream``, each like ``like``, built by a child.
 
     Serial (``stream`` itself) where ``fork_cpus`` allows one CPU or the child's
     ``pixels`` are fewer than ``MIN_SHARE``; see the module docstring for the
@@ -150,10 +151,10 @@ def forked(stream, count: int, nbytes: int, pixels: int):
         try:
             while received < count:
                 data = reader.recv_bytes()
-                if len(data) != nbytes:
+                if len(data) != like.nbytes:
                     break
                 received += 1
-                yield data
+                yield np.frombuffer(data, like.dtype).reshape(like.shape)
         except (EOFError, OSError):  # no message, or a cut one
             pass
         if received < count:  # skipping the received items rebuilds them
@@ -190,10 +191,11 @@ def evaluate_miou(model, dataset, num_classes: int) -> tuple[np.ndarray, float]:
     cuts = [len(scenes) * k // workers for k in range(workers + 1)]
     own, *parts = [scenes[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     with contextlib.ExitStack() as children:
-        streams = [children.enter_context(forked(_counts(model, part, num_classes), 1,
-                                                 8 * num_classes * num_classes, _pixels(part)))
+        total = np.zeros((num_classes, num_classes), dtype=np.int64)
+        streams = [children.enter_context(forked(_counts(model, part, num_classes), 1, total,
+                                                 _pixels(part)))
                    for part in parts]
-        total = _confusion(model, own, num_classes)
-        for data in itertools.chain.from_iterable(streams):
-            total += np.frombuffer(data, dtype=np.int64).reshape(total.shape)
+        total += _confusion(model, own, num_classes)
+        for counts in itertools.chain.from_iterable(streams):
+            total += counts
     return iou_from_confusion(total)

@@ -44,7 +44,6 @@ class CategoryDatabase:
 class MixResult:
     image: np.ndarray    # (3, H, W)
     labels: np.ndarray   # (H, W) uint8 when both label maps are, as generated and pseudo ones are
-    mask: np.ndarray     # (H, W) bool, True where the source sample was kept
     weights: np.ndarray  # (H, W) in {1.0, 2.0}
 
 
@@ -155,5 +154,4 @@ def mix(source_image: np.ndarray, source_labels: np.ndarray,
         raise ValueError("label/mask shapes do not match the image plane")
     mixed_image = np.where(mask[None, :, :], source_image, target_image)
     mixed_labels = np.where(mask, source_labels, target_labels)
-    return MixResult(image=mixed_image, labels=mixed_labels, mask=mask,
-                     weights=boundary_weights(mask))
+    return MixResult(image=mixed_image, labels=mixed_labels, weights=boundary_weights(mask))

@@ -104,7 +104,7 @@ class PixelModel:
                 # each column's top entry is unique, so its one match is the argmax
                 classes = np.arange(self.num_classes, dtype=np.float32)
                 return (classes @ (probs == top)).astype(np.intp).reshape(image.shape[1:])
-        return confidence_and_argmax(self.prob_map(feats))[1].reshape(image.shape[1:])
+        return confidence_and_argmax(self.prob_map(feats).data)[1].reshape(image.shape[1:])
 
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in zip(PARAM_NAMES, self.params)}

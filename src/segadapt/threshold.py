@@ -53,13 +53,13 @@ class ThresholdState:
 
 
 def confidence_and_argmax(probs) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel max probability (as float64) and its class; ties go to the lowest class.
+    """Per-pixel max (as float64) of a class-major array and its class; ties go to the lowest.
 
     The labels equal ``values.argmax(axis=0)``, the first NaN included, but
     come from a scan of the class rows against the max: on a class-major
     map that is a few row compares, where ``argmax`` walks a strided axis.
     """
-    values = np.asarray(getattr(probs, "data", probs))
+    values = np.asarray(probs)
     top = values.max(axis=0)
     labels = np.full(top.shape, values.shape[0] - 1, dtype=np.intp)
     for c in range(values.shape[0] - 2, -1, -1):

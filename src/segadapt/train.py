@@ -16,11 +16,11 @@ that says where it stopped.
 Every phase takes one checked SGD step, ``_descend``.  Both stages repeat one
 step: ``_step`` is its math (the three maps, the threshold update and mask,
 stage two's mixed pair, the stage loss); ``_adaptation_loop`` draws the picks,
-decodes the perturbed branch, descends, logs each step in one place and runs
+reads the perturbed branch, descends, logs each step in one place and runs
 the periodic eval.  The perturbed branch depends on the stage's pick and
 perturb streams only, so a child of ``metrics.forked`` builds it from its own
-copies of them once the stage has ``MIN_SHARE`` pixels; the serial case reads
-the same planes.
+copies of them once the stage has ``MIN_SHARE`` pixels; either way the loop
+reads the same planes, as arrays shaped like a target scene's features.
 
 Training runs in the parameters' dtype: ``pretrain_source`` builds a float32
 model, the stages clone it, and every loop casts its features to the model's
@@ -76,10 +76,10 @@ _STREAM_MIX = 9
 class TrainingDiverged(RuntimeError):
     """Raised when a training step produces a non-finite loss, gradient or update.
 
-    ``step`` is the step that diverged, None when the raiser names none.
+    ``step`` is the step that diverged.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 
@@ -150,7 +150,7 @@ def pretrain_source(cfg: TrainConfig, source) -> PixelModel:
     rng = _rng(cfg, _STREAM_PRETRAIN)
     for step in range(cfg.pretrain_steps):
         i = int(rng.integers(len(source)))
-        loss = supervised_ce_loss(model.prob_map(feats[i]), flat_labels[i], cfg.epsilon)
+        loss = supervised_ce_loss(model.prob_map(feats[i]), flat_labels[i])
         _descend(model, StageLosses(total=loss, l_s=loss), cfg.learning_rate, step, "pretraining")
     return model
 
@@ -251,9 +251,8 @@ def _adaptation_loop(cfg, model, datasets, stage, steps, lr, pick_stream, pertur
 
     plane = feats_t[0]
     branch = _perturbed_branch(cfg, target, picks(), _rng(cfg, perturb_stream), model.dtype)
-    with forked(branch, steps, plane.nbytes, steps * plane.shape[1]) as perturbed:
-        for step, (data, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
-            feats_star = np.frombuffer(data, plane.dtype).reshape(plane.shape)
+    with forked(branch, steps, plane, steps * plane.shape[1]) as perturbed:
+        for step, (feats_star, (s_idx, t_idx, *mixed_idx)) in enumerate(zip(perturbed, picks())):
             mixing = None
             if mixed_idx:
                 d_idx, m_idx = mixed_idx
@@ -292,46 +291,40 @@ _RUN_FILES = ("failed.txt", "baseline_model.npz", "baseline_ious.csv",
                 ("model.npz", "ious.csv", "metrics.csv", "thresholds.csv", "evals.csv")))
 
 
-def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
+def run_pipeline(cfg: TrainConfig, out_dir) -> dict:
     """Source-only baseline, stage one, stage two, with full evaluation.
 
-    Returns a summary dict.  When ``out_dir`` is given, the files an earlier
-    run left there under this function's own names are removed, and
-    ``config.txt`` (the config in the format ``make_config`` reads) is written
-    first.  As each phase (``baseline``, ``stage1``, ``stage2``) ends, its
-    model is saved as ``<phase>_model.npz`` and, once evaluated, its IoU CSV
-    is written, and for a stage its metrics and threshold CSVs, plus its
-    periodic evaluations when ``eval_every > 0``.  The bytes are
-    deterministic under a fixed seed.  A run that raises keeps the files of
-    the phases it finished; on ``TrainingDiverged`` it also writes
-    ``failed.txt``, which names the phase, the step (when the error names
-    one) and the message, and then re-raises.
+    Returns a summary dict.  The files an earlier run left in ``out_dir``
+    under this function's own names are removed, and ``config.txt`` (the
+    config in the format ``make_config`` reads) is written first.  As each
+    phase (``baseline``, ``stage1``, ``stage2``) ends, its model is saved as
+    ``<phase>_model.npz`` and, once evaluated, its IoU CSV is written, and for
+    a stage its metrics and threshold CSVs, plus its periodic evaluations when
+    ``eval_every > 0``.  The bytes are deterministic under a fixed seed.  A
+    run that raises keeps the files of the phases it finished; on
+    ``TrainingDiverged`` it also writes ``failed.txt``, which names the phase,
+    the step and the message, and then re-raises.
     """
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        for name in _RUN_FILES:
-            (out / name).unlink(missing_ok=True)
-        (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in _RUN_FILES:
+        (out / name).unlink(missing_ok=True)
+    (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
     source, target, _ = build_datasets(cfg)
     datasets = (source, target)
     summary = {}
 
     def finish(run, model, log=None, source_miou=True):
         """Save phase ``run``'s model, evaluate it, add its summary keys and write its CSVs."""
-        if out is not None:
-            save_model(out / f"{run}_model.npz", model)
+        save_model(out / f"{run}_model.npz", model)
         iou, miou = evaluate_miou(model, target, cfg.num_classes)
         summary.update({f"{run}_model": model, f"{run}_target_miou": miou,
                         f"{run}_target_iou": iou})
         if source_miou:
             summary[f"{run}_source_miou"] = evaluate_miou(model, source, cfg.num_classes)[1]
-        if log is not None:
-            summary[f"{run}_log"] = log
-        if out is None:
-            return
         write_iou_csv(out / f"{run}_ious.csv", iou, miou)
         if log is not None:
+            summary[f"{run}_log"] = log
             write_metrics_csv(out / f"{run}_metrics.csv", log.metrics)
             write_thresholds_csv(out / f"{run}_thresholds.csv", log.thresholds)
             if cfg.eval_every > 0:
@@ -345,11 +338,9 @@ def run_pipeline(cfg: TrainConfig, out_dir=None) -> dict:
         finish("stage2", *train_stage2(cfg, stage1_model, datasets=datasets,
                                        source_model=baseline), source_miou=False)
     except TrainingDiverged as err:
-        if out is not None:
-            phase = next(run for run in ("baseline", "stage1", "stage2")
-                         if f"{run}_model" not in summary)
-            step = "" if err.step is None else f"step = {err.step}\n"
-            (out / "failed.txt").write_text(f"phase = {phase}\n{step}message = {err}\n",
-                                            encoding="utf-8")
+        phase = next(run for run in ("baseline", "stage1", "stage2")
+                     if f"{run}_model" not in summary)
+        (out / "failed.txt").write_text(f"phase = {phase}\nstep = {err.step}\nmessage = {err}\n",
+                                        encoding="utf-8")
         raise
     return summary

@@ -109,17 +109,6 @@ def test_find_global_min_rejects_empty():
                               grad=empty))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_find_global_min_rejects_a_tol_that_never_stops_the_search(tol):
-    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
-        find_global_min(curve("focal", grid=11), tol=tol)
-
-
-def test_find_global_min_stops_at_a_tol_below_the_float_spacing():
-    c = curve("focal", grid=11)
-    assert find_global_min(c, tol=5e-324) == pytest.approx(find_global_min(c), abs=1e-4)
-
-
 def test_curve_input_validation():
     with pytest.raises(ValueError):
         curve("unknown")

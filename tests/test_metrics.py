@@ -300,14 +300,14 @@ def test_a_bad_label_in_the_callers_slice_reaps_all_three_children(four_cpus):
 
 
 def _slow_stream():
-    """A one-item stream whose item takes 20 s to build."""
+    """A one-item stream whose int64 item takes 20 s to build."""
     time.sleep(20.0)
-    yield bytes(8)
+    yield np.zeros(1, dtype=np.int64)
 
 
 def test_a_caller_that_leaves_early_kills_the_child_still_building(two_cpus):
     start = time.monotonic()
-    with forked(_slow_stream(), 1, 8, MIN_SHARE):
+    with forked(_slow_stream(), 1, np.zeros(1, dtype=np.int64), MIN_SHARE):
         pass
     assert time.monotonic() - start < 10.0
     assert len(two_cpus) == 1
@@ -334,13 +334,15 @@ def _cut_after(planes):
 
 @pytest.mark.parametrize("case", ["forked", "serial", "replayed"])
 def test_a_stream_of_float32_arrays_reads_back_as_the_serial_bytes(two_cpus, monkeypatch, case):
-    want = [plane.tobytes() for plane in _planes()]
+    want = list(_planes())
     if case == "replayed":
         monkeypatch.setattr(metrics_module, "_send", _cut_after(5))
     pixels = MIN_SHARE - 1 if case == "serial" else MIN_SHARE  # the child's pixels
-    with forked(_planes(), len(want), 9 * 32 * 32 * 4, pixels) as items:
-        got = [np.frombuffer(item, np.float32).tobytes() for item in items]
-    assert got == want
+    with forked(_planes(), len(want), want[0], pixels) as items:
+        got = list(items)
+    assert all(isinstance(item, np.ndarray) and (item.dtype, item.shape) == (np.float32, (9, 1024))
+               for item in got)
+    assert [item.tobytes() for item in got] == [plane.tobytes() for plane in want]
     assert len(two_cpus) == (0 if case == "serial" else 1)
     _assert_no_child_left()
 

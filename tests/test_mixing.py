@@ -221,9 +221,10 @@ def test_mix_of_uint8_label_maps_gives_uint8_labels():
     xs, ys = scene(rng.integers(0, 4, size=(6, 6)).astype(np.uint8), rng)
     xt, yt = scene(rng.integers(0, 4, size=(6, 6)).astype(np.uint8), rng)
     yt[0, 0] = IGNORE_LABEL
-    result = mix(xs, ys, xt, yt, rng.random((6, 6)) < 0.5)
+    mask = rng.random((6, 6)) < 0.5
+    result = mix(xs, ys, xt, yt, mask)
     assert result.labels.dtype == np.uint8
-    assert np.array_equal(result.labels, np.where(result.mask, ys, yt))
+    assert np.array_equal(result.labels, np.where(mask, ys, yt))
 
 
 def test_mix_shape_mismatch():

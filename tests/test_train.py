@@ -17,6 +17,7 @@ from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig, format_config, make_config, parse_config_file
 from segadapt.data import NUM_FEATURES, perturb, pixel_features
 from segadapt.losses import (
+    EPSILON,
     StageLosses,
     adjusted_kl_loss,
     shannon_entropy_loss,
@@ -82,15 +83,17 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 
 def test_config_rejects_a_run_directory_written_with_the_flip_knob(tmp_path):
-    # a config.txt written while the perturbed branch still had a horizontal flip
+    # config.txt files written while the perturbed branch still had a horizontal flip,
+    # and while the losses' clamp floor was still a field, each at its field's old place
     path = tmp_path / "config.txt"
-    text = format_config(TrainConfig())
-    text = text.replace("perturb_contrast = 0.08\n", "perturb_contrast = 0.08\nflip_prob = 0.5\n")
-    path.write_text(text)
-    lineno = text.splitlines().index("flip_prob = 0.5") + 1
-    message = f"{path}:{lineno}: unknown config key: 'flip_prob'"
-    with pytest.raises(KeyError, match=re.escape(message)):
-        make_config(path)
+    for key, line, after in [("flip_prob", "flip_prob = 0.5", "perturb_contrast = 0.08"),
+                             ("epsilon", "epsilon = 1e-08", "lambda_m = 1.0")]:
+        text = format_config(TrainConfig()).replace(f"{after}\n", f"{after}\n{line}\n")
+        path.write_text(text)
+        lineno = text.splitlines().index(line) + 1
+        message = f"{path}:{lineno}: unknown config key: '{key}'"
+        with pytest.raises(KeyError, match=re.escape(message)):
+            make_config(path)
 
 
 def test_config_rejects_duplicate_keys(tmp_path):
@@ -156,16 +159,11 @@ def test_config_round_trip_through_format(tmp_path):
     assert make_config(path) == cfg
 
 
-# the loss fields' edges: epsilon in (0, 1); gamma, lambda_u and lambda_m finite and >= 0
+# the loss fields' edges: gamma, lambda_u and lambda_m finite and >= 0
 _TINY = 5e-324  # the smallest positive double
 
 
 @pytest.mark.parametrize("field, value, ok", [
-    ("epsilon", _TINY, True),
-    ("epsilon", float(np.nextafter(1.0, 0.0)), True),
-    ("epsilon", 0.0, False),
-    ("epsilon", 1.0, False),
-    ("epsilon", float("nan"), False),
     ("gamma", 0.0, True),
     ("gamma", -_TINY, False),
     ("gamma", float("nan"), False),
@@ -281,7 +279,6 @@ _EDGES = {
     "learning_rate": [0.0, _TINY, _NAN, _INF], "stage1_lr": [0.0, _TINY, _NAN, _INF],
     "stage2_lr": [0.0, _TINY, _NAN, _INF], "pretrain_steps": [-1, 0, 2.5],
     "stage1_steps": [-1, 0], "stage2_steps": [-1, 0], "paste_count": [-1, 0, 5, 1.5],
-    "epsilon": [0.0, _TINY, _BELOW_ONE, 1.0, _NAN],
     "gamma": [-_TINY, 0.0, _TINY, _NAN, _INF, 2, "2"],
     "lambda_u": [-_TINY, 0.0, _NAN, _INF, False], "lambda_m": [-_TINY, 0.0, _NAN, _INF],
     "threshold_a": [-_TINY, 0.0, _BELOW_ONE, 1.0, _ABOVE_ONE, _NAN],
@@ -400,10 +397,10 @@ def test_optimizer_gradients_spot_finite_difference():
 
     def loss_value(mask):
         p_hat_live = model.prob_map(feats_t)
-        l_s = supervised_ce_loss(model.prob_map(feats_s), y_s, loss_cfg.epsilon)
-        l_u = (shannon_entropy_loss(p_hat_live, mask, loss_cfg.epsilon)
+        l_s = supervised_ce_loss(model.prob_map(feats_s), y_s, EPSILON)
+        l_u = (shannon_entropy_loss(p_hat_live, mask, EPSILON)
                + adjusted_kl_loss(snapshot, model.prob_map(feats_star), mask,
-                                  loss_cfg.gamma, loss_cfg.epsilon))
+                                  loss_cfg.gamma, EPSILON))
         return l_s + loss_cfg.lambda_u * l_u
 
     conf, labs = confidence_and_argmax(snapshot.data)
@@ -461,11 +458,10 @@ def test_step_reproduces_stage_one_first_logged_steps(small_run):
     for step, ((s_idx, t_idx), item) in enumerate(zip(picks, items)):
         (s_img, s_labels), (t_img, _) = source[s_idx], target[t_idx]
         feats_t = train_module._features(model, t_img)
-        assert np.asarray(item).nbytes == feats_t.nbytes  # the planes alone
-        feats_star = np.frombuffer(item, feats_t.dtype).reshape(feats_t.shape)
+        assert (item.dtype, item.shape) == (feats_t.dtype, feats_t.shape)  # the planes alone
         parts, alpha = train_module._step(
             cfg, model, state, train_module._features(model, s_img), s_labels.ravel(),
-            feats_t, feats_star)
+            feats_t, item)
         row = train_module._descend(model, parts, cfg.stage1_lr, step, "stage1")
         assert np.array(row).tobytes() == np.array(log1.metrics[step]).tobytes()
         logged = [a for at, _, a in log1.thresholds if at == step]
