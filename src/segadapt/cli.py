@@ -96,14 +96,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_mix_preview(args) -> int:
-    if args.preview_seed is not None and args.preview_seed < 0:
-        raise ValueError(f"--preview-seed must be a non-negative int, got {args.preview_seed}")
     cfg = _config_from(args)
     model = _load_model_for(cfg, args.model) if args.model else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target, _ = build_datasets(cfg)
-    rng = np.random.default_rng(cfg.seed if args.preview_seed is None else args.preview_seed)
+    rng = np.random.default_rng(cfg.seed)
     db = build_category_db(source, cfg.num_classes)
     alpha = ThresholdState.initial(cfg.num_classes, t0=cfg.threshold_t0).alpha
     source_pair = source[int(rng.integers(len(source)))]
@@ -162,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_arguments(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", default=None, help="pseudo-labeling model .npz")
-    p.add_argument("--preview-seed", type=int, default=None)
     p.set_defaults(func=_cmd_mix_preview)
 
     p = sub.add_parser("gradcurves", help="loss/gradient curves for the binary case")

@@ -4,8 +4,10 @@ Scenes are built on a cell grid: each cell independently hosts at most one
 axis-aligned rectangle of a foreground class, so per-class pixel fractions
 have a closed form.  Source and target share geometry statistics and differ
 only photometrically (channel offset, brightness scale, extra noise).  One
-foreground class is deliberately rare and colored close to another class,
-which makes it the hard, low-confidence class of the task.
+foreground class is deliberately rare: it fills few cells (``rare_weight``)
+with small shapes, and its color differs from every other class's by at
+least 0.40 in some channel.  Scarcity, not confusability, makes it the hard,
+low-confidence class of the task.
 
 The generator takes ``rng.choice``'s and ``rng.normal``'s draws in their
 order, so every scene keeps the bytes those calls gave, without their
@@ -34,8 +36,8 @@ __all__ = [
     "perturb",
 ]
 
-# base colors: background gray, three well-separated hues, and a distinctive
-# rare class whose difficulty comes from scarcity rather than confusability
+# base colors: background gray, three well-separated hues, and a rare class at least
+# 0.40 from every other color in some channel: scarcity, not confusability, makes it hard
 _BASE_COLORS = np.array([
     [0.30, 0.30, 0.30],
     [0.75, 0.30, 0.25],

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from segadapt.autodiff import Tensor, concat
-from segadapt.losses import (EPSILON, _adjusted_kl_terms, _check_probmap, _entropy_terms,
-                             _max_square_terms)
+from segadapt.losses import _adjusted_kl_terms, _check_probmap, _entropy_terms, _max_square_terms
 # bench/layers.py wraps these three by name in this module and raises on a missing one
 from segadapt.losses import (maximum_square_loss, shannon_entropy_loss,  # noqa: F401
                              unsupervised_focal_loss)
@@ -75,12 +74,12 @@ def _points(kind: str, leaf: Tensor, p_hat: float, gamma: float):
     dist = concat([leaf, 1.0 - leaf], axis=0)  # learnable (p, 1-p), one column per point
     if kind == "focal":
         estimate = Tensor(np.repeat([[p_hat], [1.0 - p_hat]], leaf.size, axis=1))
-        _check_probmap(estimate, EPSILON, gamma)
-        terms = _adjusted_kl_terms(estimate, dist, gamma, EPSILON)
-        loss = (0.0 + _entropy_terms(estimate, EPSILON).data.astype(np.float64)
+        _check_probmap(estimate, gamma)
+        terms = _adjusted_kl_terms(estimate, dist, gamma)
+        loss = (0.0 + _entropy_terms(estimate).data.astype(np.float64)
                 + (0.0 + terms.data.astype(np.float64)))
     else:
-        terms = _entropy_terms(dist, EPSILON) if kind == "shannon" else _max_square_terms(dist)
+        terms = _entropy_terms(dist) if kind == "shannon" else _max_square_terms(dist)
         loss = 0.0 + terms.data  # the -0.0 entropy at p = 0 or 1 reads 0.0, as in a mean
     return terms, loss
 

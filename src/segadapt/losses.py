@@ -3,7 +3,8 @@
 Every loss consumes class-major probability maps (Tensor of shape ``(C, N)``
 or ``(C, H, W)``) rather than logits; softmax belongs to the model.  Masks are
 plain boolean arrays over the pixel axes.  Probabilities entering a logarithm
-are clamped to ``[epsilon, 1]`` first, so hard pixels near 0 stay finite.
+are clamped to ``[EPSILON, 1]`` first, so hard pixels near 0 stay finite; no
+parameter sets that floor.
 Each loss is a per-pixel term (the private ``_*_terms`` helpers) and its
 reduction, mostly ``masked_mean``.  The terms run in the map's dtype
 (float64 or float32); each loss reduces them to a float64 scalar.
@@ -36,7 +37,8 @@ from segadapt.autodiff import Tensor, make_node
 from segadapt.config import TrainConfig
 
 IGNORE_LABEL = 255
-# the default clamp floor of every probability that enters a logarithm
+# the clamp floor of every probability that enters a logarithm; a Python float,
+# so a float32 map stays float32
 EPSILON = 1e-8
 
 __all__ = [
@@ -66,22 +68,21 @@ class StageLosses:
     l_m: Tensor | None = None
 
 
-def _clamped_log(a: np.ndarray, epsilon: float):
-    """``a`` clamped to ``[epsilon, 1]``, where the clamp passes gradient, and the clamp's log.
+def _clamped_log(a: np.ndarray):
+    """``a`` clamped to ``[EPSILON, 1]``, where the clamp passes gradient, and the clamp's log.
 
     The values of ``Tensor.clamp`` followed by ``Tensor.log``: a maximum then
     a minimum give ``np.clip``'s values, NaN included, without its call
     overhead, which dominates on one-pixel maps.
     """
-    epsilon = float(epsilon)  # a Python float keeps a float32 map float32
-    clamped = np.minimum(np.maximum(a, epsilon), 1.0)
-    return clamped, (a > epsilon) & (a < 1.0), np.log(clamped)
+    clamped = np.minimum(np.maximum(a, EPSILON), 1.0)
+    return clamped, (a > EPSILON) & (a < 1.0), np.log(clamped)
 
 
-def _entropy_terms(p: Tensor, epsilon: float) -> Tensor:
+def _entropy_terms(p: Tensor) -> Tensor:
     """``-sum_c p log p`` per pixel."""
     a = p.data
-    clamped, inside, log = _clamped_log(a, epsilon)
+    clamped, inside, log = _clamped_log(a)
 
     def vjp(g):
         g = -g
@@ -90,14 +91,14 @@ def _entropy_terms(p: Tensor, epsilon: float) -> Tensor:
     return make_node(-(a * log).sum(axis=0), (p,), vjp)
 
 
-def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: float) -> Tensor:
+def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float) -> Tensor:
     """``sum_c p_hat (log p_hat - (1 - p_star)**gamma log p_star)`` per pixel.
 
     ``p_hat`` is a constant: gradient flows into ``p_star`` only.
     """
     h, a = p_hat.data, p_star.data
-    log_h = _clamped_log(h, epsilon)[2]
-    clamped, inside, log = _clamped_log(a, epsilon)
+    log_h = _clamped_log(h)[2]
+    clamped, inside, log = _clamped_log(a)
     gamma = float(gamma)
     if gamma == 0.0:
         # (1 - p)**0 is the constant 1 with no gradient, as in Tensor.__pow__,
@@ -123,9 +124,9 @@ def _adjusted_kl_terms(p_hat: Tensor, p_star: Tensor, gamma: float, epsilon: flo
     return make_node((h * (log_h - focal_log)).sum(axis=0), (p_star,), vjp)
 
 
-def _cross_entropy_terms(p: Tensor, onehot: np.ndarray, epsilon: float) -> Tensor:
+def _cross_entropy_terms(p: Tensor, onehot: np.ndarray) -> Tensor:
     """``-sum_c onehot log p`` per pixel."""
-    clamped, inside, log = _clamped_log(p.data, epsilon)
+    clamped, inside, log = _clamped_log(p.data)
     return make_node(-(onehot * log).sum(axis=0), (p,),
                      lambda g: (-g * onehot / clamped * inside,))
 
@@ -141,12 +142,10 @@ def _max_square_terms(p: Tensor) -> Tensor:
     return make_node(-(a * a).sum(axis=0) * 0.5, (p,), vjp)
 
 
-def _check_probmap(p: Tensor, epsilon: float = EPSILON, gamma: float = 0.0) -> None:
-    """A class axis plus pixel axes, and the parameters outside which the terms give NaN."""
+def _check_probmap(p: Tensor, gamma: float = 0.0) -> None:
+    """A class axis plus pixel axes, and a ``gamma`` outside which the terms give NaN."""
     if p.data.ndim < 2:
         raise ValueError(f"probability map needs a class axis plus pixel axes, got shape {p.shape}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be >= 0 and finite, got {gamma}")
 
@@ -172,28 +171,26 @@ def _one_hot(labels: np.ndarray, num_classes: int, dtype) -> tuple[np.ndarray, n
     return ((labels == classes) & valid).astype(dtype), valid
 
 
-def shannon_entropy_loss(p: Tensor, mask, epsilon: float = EPSILON) -> Tensor:
+def shannon_entropy_loss(p: Tensor, mask) -> Tensor:
     """Masked mean over pixels of the per-pixel Shannon entropy of ``p``."""
-    _check_probmap(p, epsilon)
-    return _entropy_terms(p, epsilon).masked_mean(mask)
+    _check_probmap(p)
+    return _entropy_terms(p).masked_mean(mask)
 
 
-def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
-                     epsilon: float = EPSILON) -> Tensor:
+def adjusted_kl_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float) -> Tensor:
     """Masked mean of ``sum_c p_hat (log p_hat - (1 - p_star)**gamma log p_star)``.
 
     ``p_hat`` is the soft pseudo label and must be detached: gradient flows
     only into ``p_star``.
     """
-    _check_probmap(p_hat, epsilon, gamma)
+    _check_probmap(p_hat, gamma)
     _check_pair(p_hat, p_star)
     if p_hat.requires_grad:
         raise ValueError("p_hat must be detached: it serves as the soft pseudo label")
-    return _adjusted_kl_terms(p_hat, p_star, gamma, epsilon).masked_mean(mask)
+    return _adjusted_kl_terms(p_hat, p_star, gamma).masked_mean(mask)
 
 
-def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
-                            epsilon: float = EPSILON) -> Tensor:
+def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float) -> Tensor:
     """Shannon entropy of the weak branch plus the adjusted KL divergence.
 
     The Shannon term backpropagates into ``p_hat``; the KL term sees ``p_hat``
@@ -201,42 +198,38 @@ def unsupervised_focal_loss(p_hat: Tensor, p_star: Tensor, mask, gamma: float,
     terms cancel, leaving the masked mean of
     ``-sum_c p_hat (1 - p_star)**gamma log p_star``.
     """
-    return (shannon_entropy_loss(p_hat, mask, epsilon)
-            + adjusted_kl_loss(p_hat.detach(), p_star, mask, gamma, epsilon))
+    return shannon_entropy_loss(p_hat, mask) + adjusted_kl_loss(p_hat.detach(), p_star, mask, gamma)
 
 
-def supervised_ce_loss(p: Tensor, labels, epsilon: float = EPSILON) -> Tensor:
+def supervised_ce_loss(p: Tensor, labels) -> Tensor:
     """Mean over non-IGNORE pixels of ``-log p[label]``."""
-    _check_probmap(p, epsilon)
+    _check_probmap(p)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
-    return _cross_entropy_terms(p, onehot, epsilon).masked_mean(valid)
+    return _cross_entropy_terms(p, onehot).masked_mean(valid)
 
 
-def supervised_focal_loss(p: Tensor, labels, gamma: float, epsilon: float = EPSILON) -> Tensor:
+def supervised_focal_loss(p: Tensor, labels, gamma: float) -> Tensor:
     """Mean over non-IGNORE pixels of ``-(1 - p[label])**gamma log p[label]``."""
-    _check_probmap(p, epsilon, gamma)
+    _check_probmap(p, gamma)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
-    focal_log = ((1.0 - p) ** gamma) * p.clamp(epsilon, 1.0).log()
+    focal_log = ((1.0 - p) ** gamma) * p.clamp(EPSILON, 1.0).log()
     return (-(Tensor(onehot) * focal_log).sum(axis=0)).masked_mean(valid)
 
 
-def focal_decomposition_check(y_onehot, p: Tensor, gamma: float,
-                              epsilon: float = EPSILON) -> tuple[float, float]:
+def focal_decomposition_check(y_onehot: np.ndarray, p: Tensor, gamma: float) -> tuple[float, float]:
     """Evaluate the focal loss two ways for an exactly one-hot label map.
 
     Returns ``(supervised focal value, shannon(y) + adjusted KL(y, p) value)``.
     The pair must agree because the entropy of a one-hot distribution is zero.
     """
-    y = np.asarray(y_onehot.data if isinstance(y_onehot, Tensor) else y_onehot,
-                   dtype=np.float64)
+    y = np.asarray(y_onehot, dtype=np.float64)
     if not (np.all((y == 0.0) | (y == 1.0)) and np.allclose(y.sum(axis=0), 1.0)):
         raise ValueError("y must be an exactly one-hot probability map")
     labels = np.argmax(y, axis=0)
     full = np.ones(labels.shape, dtype=bool)
-    direct = supervised_focal_loss(p, labels, gamma, epsilon).item()
+    direct = supervised_focal_loss(p, labels, gamma).item()
     y_t = Tensor(y)
-    decomposed = (shannon_entropy_loss(y_t, full, epsilon)
-                  + adjusted_kl_loss(y_t, p, full, gamma, epsilon)).item()
+    decomposed = (shannon_entropy_loss(y_t, full) + adjusted_kl_loss(y_t, p, full, gamma)).item()
     return direct, decomposed
 
 
@@ -246,13 +239,13 @@ def maximum_square_loss(p: Tensor, mask) -> Tensor:
     return _max_square_terms(p).masked_mean(mask)
 
 
-def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = EPSILON) -> Tensor:
+def mixed_ce_loss(p: Tensor, labels, weights) -> Tensor:
     """Pixel-weighted cross entropy: ``sum w * (-log p[label]) / sum w``.
 
     Weight 2 marks pixels near mix-mask boundaries, 1 elsewhere; IGNORE pixels
     drop out of both sums.  An all-IGNORE map yields a constant 0.
     """
-    _check_probmap(p, epsilon)
+    _check_probmap(p)
     onehot, valid = _one_hot(labels, p.shape[0], p.data.dtype)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != valid.shape:
@@ -262,7 +255,7 @@ def mixed_ce_loss(p: Tensor, labels, weights, epsilon: float = EPSILON) -> Tenso
     if total == 0.0:
         return Tensor(0.0)
     share = Tensor((w / total).astype(p.data.dtype, copy=False))
-    return (_cross_entropy_terms(p, onehot, epsilon) * share).sum()
+    return (_cross_entropy_terms(p, onehot) * share).sum()
 
 
 def stage1_loss(p_s: Tensor, y_s, p_hat_t: Tensor, p_star_t: Tensor, target_mask,

@@ -192,13 +192,6 @@ def test_gen_data_refuses_count_with_a_usage_error_before_writing(tmp_path, caps
     assert not out.exists()
 
 
-def test_mix_preview_rejects_a_negative_preview_seed_before_writing(tmp_path):
-    out = tmp_path / "preview"
-    with pytest.raises(ValueError, match="^--preview-seed must be a non-negative int, got -1$"):
-        main(["mix-preview", "--out", str(out), "--preview-seed", "-1", *TINY])
-    assert not out.exists()
-
-
 def test_consecutive_main_calls_share_no_state_through_the_parser(tmp_path, capsys):
     # the parser is built once per process; a call's flags and a failed parse do not
     # carry over into the next call

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -9,11 +10,15 @@ from segadapt.cli import main
 from segadapt.gradcurves import KINDS, Curve, _points, curve, emit_csv, find_global_min
 from segadapt.losses import maximum_square_loss, shannon_entropy_loss, unsupervised_focal_loss
 
+from _kernels import numeric_kernels
 from _netpbm import csv_by_rows
 
 # the (p_hat, gamma) settings of the benchmark's landscape workload
 LANDSCAPE = [(p_hat, gamma) for p_hat in (0.55, 0.6, 0.7, 0.8, 0.9)
              for gamma in (0.5, 1.0, 2.0, 4.0)]
+# sha256 of the 20 `gradcurves --kind all --grid 1999` CSVs of LANDSCAPE, concatenated in
+# its order; these float64 bytes move with numpy's dispatch level, not with BLAS
+LANDSCAPE_SHA256 = "c38ed890dee9f960fd97addd70a76297d595adb42288ff79bd7f48294bf8490b"
 
 
 def closed_form_focal(p, a=0.6, gamma=2.0):
@@ -161,6 +166,19 @@ def test_gradcurves_cli_writes_the_bytes_of_the_row_by_row_rule(tmp_path, capsys
         rows = curve_rows([curve(kind, p_hat=p_hat, gamma=gamma) for kind in KINDS])
         assert path.read_bytes() == csv_by_rows("loss_kind,p,loss,grad", rows), (p_hat, gamma)
     capsys.readouterr()
+
+
+def test_landscape_csvs_keep_their_recorded_sha256(tmp_path, capsys):
+    digest = hashlib.sha256()
+    path = tmp_path / "curves.csv"
+    for p_hat, gamma in LANDSCAPE:
+        assert main(["gradcurves", "--kind", "all", "--p-hat", str(p_hat), "--gamma", str(gamma),
+                     "--grid", "1999", "--out", str(path)]) == 0
+        digest.update(path.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == LANDSCAPE_SHA256, (
+        "landscape bytes changed (OpenBLAS core {}, numpy dispatch {}); a change that alters "
+        "them must say why in CHANGES.md and record the new sha256".format(*numeric_kernels()))
 
 
 def test_emit_csv_formats_curves_on_different_grids_by_the_row_by_row_rule(tmp_path):

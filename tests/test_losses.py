@@ -434,13 +434,13 @@ def _chain_log(p):
 # label map and gamma.
 FUSED_AND_CHAIN = {
     "entropy": (
-        lambda p, q, y, gamma: _entropy_terms(p, 1e-8),
+        lambda p, q, y, gamma: _entropy_terms(p),
         lambda p, q, y, gamma: -(p * _chain_log(p)).sum(axis=0)),
     "adjusted_kl": (
-        lambda p, q, y, gamma: _adjusted_kl_terms(q, p, gamma, 1e-8),
+        lambda p, q, y, gamma: _adjusted_kl_terms(q, p, gamma),
         lambda p, q, y, gamma: (q * (_chain_log(q) - ((1.0 - p) ** gamma) * _chain_log(p))).sum(axis=0)),
     "cross_entropy": (
-        lambda p, q, y, gamma: _cross_entropy_terms(p, y, 1e-8),
+        lambda p, q, y, gamma: _cross_entropy_terms(p, y),
         lambda p, q, y, gamma: -(Tensor(y) * _chain_log(p)).sum(axis=0)),
     "max_square": (
         lambda p, q, y, gamma: _max_square_terms(p),
@@ -593,23 +593,6 @@ def test_supervised_focal_finite_value_and_gradient(data, gamma):
 # ---------------------------------------------------------- parameter checks
 
 _TINY = 5e-324  # the smallest positive double
-
-
-@pytest.mark.parametrize("epsilon", [0.0, 1.0, -_TINY, float("nan")])
-def test_every_loss_rejects_an_epsilon_outside_the_open_unit_interval(epsilon):
-    p = Tensor([[1.0, 0.5], [0.0, 0.5]])
-    mask, labels = np.ones(2, dtype=bool), np.array([0, 1])
-    for call in (lambda: shannon_entropy_loss(p, mask, epsilon=epsilon),
-                 lambda: adjusted_kl_loss(p, p, mask, 2.0, epsilon=epsilon),
-                 lambda: unsupervised_focal_loss(p, p, mask, 2.0, epsilon=epsilon),
-                 lambda: supervised_ce_loss(p, labels, epsilon=epsilon),
-                 lambda: supervised_focal_loss(p, labels, 2.0, epsilon=epsilon),
-                 lambda: mixed_ce_loss(p, labels, np.ones(2), epsilon=epsilon)):
-        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\)"):
-            call()
-    # just inside the interval the loss is finite
-    assert np.isfinite(shannon_entropy_loss(p, mask, epsilon=_TINY).item())
-    assert np.isfinite(shannon_entropy_loss(p, mask, epsilon=float(np.nextafter(1.0, 0.0))).item())
 
 
 @pytest.mark.parametrize("gamma", [-1.0, -_TINY, float("nan"), float("inf")])

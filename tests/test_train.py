@@ -17,7 +17,6 @@ from segadapt.autodiff import Tensor
 from segadapt.config import TrainConfig, format_config, make_config, parse_config_file
 from segadapt.data import NUM_FEATURES, perturb, pixel_features
 from segadapt.losses import (
-    EPSILON,
     StageLosses,
     adjusted_kl_loss,
     shannon_entropy_loss,
@@ -397,10 +396,9 @@ def test_optimizer_gradients_spot_finite_difference():
 
     def loss_value(mask):
         p_hat_live = model.prob_map(feats_t)
-        l_s = supervised_ce_loss(model.prob_map(feats_s), y_s, EPSILON)
-        l_u = (shannon_entropy_loss(p_hat_live, mask, EPSILON)
-               + adjusted_kl_loss(snapshot, model.prob_map(feats_star), mask,
-                                  loss_cfg.gamma, EPSILON))
+        l_s = supervised_ce_loss(model.prob_map(feats_s), y_s)
+        l_u = (shannon_entropy_loss(p_hat_live, mask)
+               + adjusted_kl_loss(snapshot, model.prob_map(feats_star), mask, loss_cfg.gamma))
         return l_s + loss_cfg.lambda_u * l_u
 
     conf, labs = confidence_and_argmax(snapshot.data)
